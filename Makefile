@@ -20,9 +20,10 @@ test-race:
 	$(GO) test -race ./...
 
 # Race-check the concurrency-heavy packages (the parallel ID-space engine,
-# the sweep driver, the observer fed by live ring goroutines, the
-# discrete-event network, and the goroutine-per-node runtime) without
-# paying for the whole suite under -race.
+# the sweep driver, the observer fed by concurrent engine worker loops,
+# the discrete-event network, and the sharded live engine with its SPSC
+# rings and paced Start/Stop) without paying for the whole suite under
+# -race.
 test-race-core:
 	$(GO) test -race ./internal/check ./internal/parsweep ./internal/obs \
 	  ./internal/msgnet ./internal/runtime
@@ -58,9 +59,8 @@ bench-msgnet:
 	  | $(GO) run ./cmd/benchjson -o BENCH_msgnet.json
 
 # Record the sharded event-loop runtime: virtual-time engine throughput at
-# n=10k and n=100k vs the wall-clock goroutine-per-node legacy ring at
-# n=10k, in BENCH_runtime.json. The acceptance bar is >= 100k nodes
-# sustained and >= 5x the legacy events/s at n=10k.
+# n=10k and n=100k with 1 and 4 workers, in BENCH_runtime.json. The
+# acceptance bar is >= 100k nodes sustained.
 bench-runtime:
 	$(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -count 3 . \
 	  | $(GO) run ./cmd/benchjson -o BENCH_runtime.json
@@ -139,8 +139,8 @@ lint:
 # bound, one-message-per-direction link rule, token separation — checked
 # continuously. Exits non-zero (and writes a shrunk repro to
 # testdata/repros/) on any violation. The deterministic tiers get the
-# adversarial sweeps; the live tier gets a short wall-clock-bound sweep
-# on one worker; the final invocation is the mutation search, a fixed
+# adversarial sweeps; the live tier gets a short sweep with one trial at
+# a time; the final invocation is the mutation search, a fixed
 # budget of hill-climb runs over link knobs, fault storms, and
 # churn/splice scripts — the dynamics the static sweeps never exercise.
 soak-short:

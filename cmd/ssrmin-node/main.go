@@ -16,9 +16,8 @@
 // counters on /metrics and /debug/vars.
 //
 // With -local the command instead deploys the WHOLE ring in one process
-// on the live runtime (the sharded event engine by default; see
-// -workers / -legacy-runtime) — useful for smoke-testing a deployment
-// size before spreading it across machines:
+// on the live tier's sharded event engine (see -workers) — useful for
+// smoke-testing a deployment size before spreading it across machines:
 //
 //	ssrmin-node -local -n 100000 -seconds 5
 package main
@@ -116,9 +115,8 @@ func main() {
 	logTransitions(node, *id, observer, start, stop, deadline)
 }
 
-// runLocal deploys the whole ring in-process through the unified Option
-// API — the sharded engine by default, the goroutine ring behind
-// -legacy-runtime — and reports the census band it sustained.
+// runLocal deploys the whole ring in-process on the sharded engine
+// through the Option API and reports the census band it sustained.
 func runLocal(cc *cliconf.Config, seconds float64, metrics string) int {
 	if cc.N < 3 {
 		fmt.Fprintln(os.Stderr, "required: -n ≥ 3 with -local (see -h)")
@@ -133,9 +131,6 @@ func runLocal(cc *cliconf.Config, seconds float64, metrics string) int {
 		ssrmin.WithSeed(cc.Seed),
 		ssrmin.WithWorkers(cc.Workers),
 	}
-	if cc.LegacyRuntime {
-		opts = append(opts, ssrmin.WithLegacyRuntime())
-	}
 	var observer *obs.Observer
 	if metrics != "" {
 		observer = obs.New(nil)
@@ -149,11 +144,7 @@ func runLocal(cc *cliconf.Config, seconds float64, metrics string) int {
 		opts = append(opts, ssrmin.WithObserver(observer))
 	}
 	ring := ssrmin.NewLiveRing(cc.N, opts...)
-	backend := "sharded engine"
-	if cc.LegacyRuntime {
-		backend = "goroutine ring"
-	}
-	fmt.Printf("local ring: n=%d on the %s for %.1fs\n", cc.N, backend, seconds)
+	fmt.Printf("local ring: n=%d on the sharded engine for %.1fs\n", cc.N, seconds)
 	ring.Start()
 	defer ring.Stop()
 	stats := ring.WatchCensus(time.Duration(seconds*float64(time.Second)), 5*time.Millisecond)

@@ -96,8 +96,7 @@ type Config struct {
 	Seed   int64
 	Random bool
 
-	Workers       int
-	LegacyRuntime bool
+	Workers int
 }
 
 // BindRing registers -n (default defN) and -k.
@@ -131,14 +130,11 @@ func (c *Config) BindRandom(fs *flag.FlagSet, defSeed int64) {
 		"start from a random configuration instead of the legitimate one")
 }
 
-// BindRuntime registers -workers and -legacy-runtime, the live tier's
-// backend selection shared by ssrmin-live, ssrmin-node and the soak
-// harness.
+// BindRuntime registers -workers, the live engine's worker-loop count
+// shared by ssrmin-live and ssrmin-node.
 func (c *Config) BindRuntime(fs *flag.FlagSet) {
 	fs.IntVar(&c.Workers, "workers", 0,
 		"sharded engine worker loops (0 = GOMAXPROCS, clamped to ring size)")
-	fs.BoolVar(&c.LegacyRuntime, "legacy-runtime", false,
-		"use the goroutine-per-node live runtime instead of the sharded engine")
 }
 
 // ResolveK applies the K default (n+1) and returns the result.

@@ -1,7 +1,9 @@
 package crosscheck
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ssrmin/internal/msgnet"
@@ -27,7 +29,7 @@ func TestValidateDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.K != 5 || s.Steps == 0 || s.Daemon != "central-random" ||
-		s.Refresh != 0.05 || s.Settle != 5 || s.LiveScale != 0.01 || len(s.Engines) != 3 {
+		s.Refresh != 0.05 || s.Settle != 5 || len(s.Engines) != 3 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 }
@@ -128,13 +130,12 @@ func TestFaultStormConverges(t *testing.T) {
 	}
 }
 
-// TestLiveEngineClean runs the goroutine tier briefly on a legitimate
-// coherent start; like runtime's own TestLiveMutualInclusion, the sampled
-// census must stay within [1,2] with zero tolerance.
+// TestLiveEngineClean runs the live tier on a legitimate coherent start;
+// like runtime's own TestEngineMutualInclusion, the census observed at
+// every epoch boundary must stay within [1,2] with zero tolerance.
 func TestLiveEngineClean(t *testing.T) {
 	s := clean(5, 1)
 	s.Horizon = 5
-	s.LiveScale = 0.02 // 100ms of wall clock
 	s.Engines = []string{EngineLive}
 	rep, err := Run(s)
 	if err != nil {
@@ -259,6 +260,25 @@ func TestLoadReprosMissingDir(t *testing.T) {
 	got, err := LoadRepros(filepath.Join(t.TempDir(), "nope"))
 	if err != nil || got != nil {
 		t.Fatalf("missing dir: %v %v", got, err)
+	}
+}
+
+// TestLoadReprosRejectsRemovedKeys: the live tier's goroutine backend and
+// its wall-clock scale are gone, so a fixture still carrying their keys
+// must fail to load, naming the key, instead of silently running on the
+// sharded engine.
+func TestLoadReprosRejectsRemovedKeys(t *testing.T) {
+	for _, kv := range []string{`"liveLegacy": true`, `"liveScale": 0.01`} {
+		dir := t.TempDir()
+		blob := `{"note": "old", "scenario": {"name": "old", "n": 4, "seed": 1, "horizon": 1, ` + kv + `}}`
+		if err := os.WriteFile(filepath.Join(dir, "old.json"), []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		field := strings.SplitN(kv, `"`, 3)[1]
+		_, err := LoadRepros(dir)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("LoadRepros with %s: err = %v, want an error naming %q", kv, err, field)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 package obs_test
 
 // Race coverage for the observer: every counter, histogram and the sink
-// must tolerate concurrent emitters. The live runtime ring is the real
-// producer — one goroutine per node plus two per link, all emitting into
-// one Observer — so the first test drives an actual ring under -race; the
-// second hammers the full method surface from bare goroutines.
+// must tolerate concurrent emitters. The live engine is the real
+// producer — its worker loops, one per ring arc, all emit into one
+// Observer — so the first test drives an actual two-worker engine under
+// -race; the second hammers the full method surface from bare goroutines.
 
 import (
 	"io"
@@ -19,28 +19,31 @@ import (
 
 func TestObserverRaceLiveRing(t *testing.T) {
 	o := obs.New(obs.NewJSONL(io.Discard))
-	alg := core.New(5, 6)
-	r := runtime.NewRing[core.State](alg, alg.InitialLegitimate(), runtime.Options[core.State]{
-		Delay:          200 * time.Microsecond,
-		Jitter:         100 * time.Microsecond,
+	alg := core.New(6, 7)
+	e := runtime.NewEngine[core.State](alg, alg.InitialLegitimate(), runtime.Options[core.State]{
+		Delay:          10 * time.Millisecond,
+		Jitter:         5 * time.Millisecond,
 		LossProb:       0.05,
-		Refresh:        time.Millisecond,
+		Refresh:        50 * time.Millisecond,
 		Seed:           1,
 		CoherentCaches: true,
+		Workers:        2,
 	})
-	r.SetObserver(o, core.HasToken)
-	r.Start()
-	time.Sleep(150 * time.Millisecond)
-	r.Stop()
+	e.SetObserver(o, core.HasToken)
+	e.RunUntil(5)
+	e.Stop()
 
+	if e.Workers() != 2 {
+		t.Fatalf("engine resolved %d workers, want 2 concurrent producers", e.Workers())
+	}
 	if o.C.MsgRecv.Load() == 0 {
-		t.Error("live ring emitted no MsgRecv")
+		t.Error("live engine emitted no MsgRecv")
 	}
 	if o.C.RuleFired.Load() == 0 {
-		t.Error("live ring emitted no RuleFired")
+		t.Error("live engine emitted no RuleFired")
 	}
 	if o.C.Handovers.Load() == 0 {
-		t.Error("live ring emitted no Handover")
+		t.Error("live engine emitted no Handover")
 	}
 }
 

@@ -1,11 +1,9 @@
 package runtime
 
-// Engine is the sharded event-loop rebuild of the live tier: instead of
-// one goroutine per node and wall-clock channel links (Ring, kept as the
-// legacy deployment), it simulates the same Algorithm-4 semantics in
-// virtual time — nodes partitioned into contiguous ring arcs, one worker
-// loop per shard, arena-backed event queues, and lock-free SPSC rings for
-// the sends that cross a shard boundary. No allocation happens on the
+// Engine is the live tier: it simulates Algorithm-4 semantics in virtual
+// time — nodes partitioned into contiguous ring arcs, one worker loop per
+// shard, arena-backed event queues, and lock-free SPSC rings for the
+// sends that cross a shard boundary. No allocation happens on the
 // hot path, which is what lets one process sustain rings of 100k+ nodes
 // (see BENCH_runtime.json).
 //
@@ -30,8 +28,7 @@ package runtime
 // RunUntil advances virtual time as fast as the CPU allows — the mode
 // benches, crosscheck and large-n experiments use. Start/Stop pace
 // virtual time 1:1 against the wall clock and accept live Inject and
-// census queries, which is how NewLiveRing deploys the engine as a
-// drop-in for the goroutine Ring.
+// census queries, which is how NewLiveRing deploys the engine.
 
 import (
 	"container/heap"
@@ -131,7 +128,7 @@ type Engine[S comparable] struct {
 	delay, jitter, refresh, loss float64
 
 	nodes   []engNode[S]
-	links   []engLink // 2i = i→succ, 2i+1 = i→pred (Ring's indexing)
+	links   []engLink // 2i = i→succ, 2i+1 = i→pred
 	shards  []engShard[S]
 	shardOf []int32
 	w       int
@@ -173,8 +170,9 @@ type Engine[S comparable] struct {
 
 // NewEngine builds an engine over init. Workers (Options.Workers)
 // defaults to GOMAXPROCS and is clamped to [1, n]; Delay and Refresh
-// must be positive (Delay is the conservative lookahead). Cache seeding
-// follows NewRing exactly: CoherentCaches, RandomState, or self-copies.
+// must be positive (Delay is the conservative lookahead). Caches are
+// seeded from CoherentCaches, RandomState, or self-copies, in that order
+// of precedence.
 func NewEngine[S comparable](alg statemodel.Algorithm[S], init statemodel.Config[S], opts Options[S]) *Engine[S] {
 	n := alg.N()
 	if len(init) != n {
@@ -643,8 +641,8 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 	}
 }
 
-// step executes at most one rule and announces — the mirror of
-// liveNode.step.
+// step executes at most one rule, re-evaluates the privilege and
+// announces — Algorithm 4's reaction to a delivered frame.
 //
 //rulecheck:step
 //shardsafety:worker owns=node
@@ -664,8 +662,7 @@ func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 	e.announce(sh, at, node)
 }
 
-// announce offers the state to both outgoing links, predecessor first —
-// the same order liveNode.announce uses.
+// announce offers the state to both outgoing links, predecessor first.
 //
 //shardsafety:worker owns=node
 //allocgate:hot
@@ -676,7 +673,7 @@ func (e *Engine[S]) announce(sh *engShard[S], at float64, node int32) {
 
 // send admits the node's state into one directed link, or drops it when
 // the link is busy (one message per direction) or the loss draw hits.
-// Jitter, then loss, drawn from the link's own PRNG — the relay's order.
+// Jitter, then loss, drawn from the link's own PRNG.
 //
 //shardsafety:worker owns=node
 //allocgate:hot
@@ -917,9 +914,11 @@ func (e *Engine[S]) detachArc(first int32, count int32) {
 // ---------------------------------------------------------------------------
 
 // Snapshots returns every node's (state, caches) at the current virtual
-// time — a true instantaneous cut of the virtual execution.
+// time — a true instantaneous cut of the virtual execution — indexed by
+// node id over all n + Spare nodes, so joined spares are visible (dormant
+// spares report the zero state, leavers their last one).
 func (e *Engine[S]) Snapshots() []Snapshot[S] {
-	out := make([]Snapshot[S], e.n)
+	out := make([]Snapshot[S], len(e.nodes))
 	e.do(func() {
 		for i := range e.nodes {
 			nd := &e.nodes[i]
@@ -1008,8 +1007,7 @@ func (e *Engine[S]) Members() []int {
 // RuleExecutions sums rule executions across shards.
 func (e *Engine[S]) RuleExecutions() int64 { return e.Stats().Rules }
 
-// LinkStats aggregates carried and dropped frame counts — the Ring's
-// accessor, same meaning.
+// LinkStats aggregates carried and dropped frame counts over all links.
 func (e *Engine[S]) LinkStats() (carried, dropped int64) {
 	s := e.Stats()
 	return s.Carried, s.Dropped
@@ -1122,8 +1120,8 @@ func (e *Engine[S]) Stop() {
 }
 
 // Inject overwrites a node's state at the next epoch boundary — a live
-// transient fault. It always reports true (the engine has no queue to
-// overflow); the bool mirrors Ring.Inject.
+// transient fault. It always reports true: the engine has no fault queue
+// to overflow.
 func (e *Engine[S]) Inject(node int, s S) bool {
 	if node < 0 || node >= e.n {
 		panic(fmt.Sprintf("runtime: node %d out of range", node))

@@ -51,8 +51,7 @@ func sampleCensus(e *Engine[core.State], horizon float64) (minC, maxC int, seen 
 // TestEngineMutualInclusion checks the paper's core guarantee on the
 // sharded engine: from a legitimate coherent start the virtual-time
 // census never leaves [1, 2], and the privilege visits every node.
-// Unlike the goroutine ring's sampled wall-clock census, every epoch
-// boundary here is a true instantaneous cut of the execution.
+// Every epoch boundary is a true instantaneous cut of the execution.
 func TestEngineMutualInclusion(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		a, e := newSSRminEngine(5, 6, engineOpts(1, w))
@@ -346,11 +345,11 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEngineAgainstGoroutineRing cross-validates the two live backends
-// statistically: same options, same predicate — both must keep the
-// census in [1,2] and circulate the privilege around the whole ring.
-// (The bit-identical comparison is against the Reference engine; the
-// goroutine ring is wall-clock and nondeterministic by nature.)
+// TestEngineAgainstGoroutineRing runs the same ring both ways the Engine
+// can run: paced by Start, where worker goroutines advance virtual time
+// against the wall clock and the census is sampled from outside, and
+// stepped by RunUntil in virtual time. Both must keep the census in [1,2]
+// and circulate the privilege around the whole ring.
 func TestEngineAgainstGoroutineRing(t *testing.T) {
 	opts := Options[core.State]{
 		Delay:          500 * time.Microsecond,
@@ -358,19 +357,22 @@ func TestEngineAgainstGoroutineRing(t *testing.T) {
 		Refresh:        2 * time.Millisecond,
 		Seed:           1,
 		CoherentCaches: true,
+		Workers:        2,
 	}
-	a := core.New(5, 6)
-	ring := NewRing[core.State](a, a.InitialLegitimate(), opts)
-	ring.Start()
-	ringStats := ring.WatchCensus(core.HasToken, 200*time.Millisecond, 100*time.Microsecond)
-	ring.Stop()
+	_, paced := newSSRminEngine(5, 6, opts)
+	paced.Start()
+	pacedStats := paced.WatchCensus(core.HasToken, 200*time.Millisecond, 100*time.Microsecond)
+	paced.Stop()
 
-	eng := NewEngine[core.State](a, a.InitialLegitimate(), opts)
+	_, eng := newSSRminEngine(5, 6, opts)
 	minC, maxC, seen := sampleCensus(eng, 0.2)
 	eng.Stop()
 
-	if ringStats.Min < 1 || ringStats.Max > 2 {
-		t.Errorf("goroutine ring census [%d,%d]", ringStats.Min, ringStats.Max)
+	if pacedStats.Min < 1 || pacedStats.Max > 2 {
+		t.Errorf("paced engine census [%d,%d]", pacedStats.Min, pacedStats.Max)
+	}
+	if pacedStats.DistinctHolders != 5 {
+		t.Errorf("paced engine circulated over %d/5 nodes in 200ms", pacedStats.DistinctHolders)
 	}
 	if minC < 1 || maxC > 2 {
 		t.Errorf("engine census [%d,%d]", minC, maxC)

@@ -1,9 +1,11 @@
 // Package runtime executes CST-transformed ring algorithms as a live
-// concurrent system: one goroutine per node, Go channels as the
-// communication links, wall-clock delays, and probabilistic message loss.
-// It is the deployment the discrete-event simulation (internal/cst over
-// internal/msgnet) models, and what the paper's motivating application —
-// a self-organizing camera network with continuous coverage — runs on.
+// system on the sharded event-loop Engine (engine.go): worker loops own
+// contiguous ring arcs and simulate link delay, jitter and loss in virtual
+// time, which RunUntil advances as fast as the CPU allows and Start paces
+// 1:1 against the wall clock. It is the deployment the discrete-event
+// simulation (internal/cst over internal/msgnet) models, and what the
+// paper's motivating application — a self-organizing camera network with
+// continuous coverage — runs on.
 //
 // Faithfulness to the paper's network model:
 //
@@ -12,27 +14,14 @@
 //   - Each node keeps caches of its neighbors' states and announces its
 //     own state on change and periodically (Algorithm 4).
 //   - Token conditions are evaluated on the node's own state and caches.
-//
-// Each node publishes an immutable snapshot of (state, caches) through an
-// atomic pointer after every change, so observers can sample the global
-// census without locks. Sampling is not an instantaneous global cut — no
-// observer of a distributed system has one — but node-local snapshots are
-// internally consistent, which is all the token predicates need.
 package runtime
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"ssrmin/internal/obs"
-	"ssrmin/internal/statemodel"
 )
 
-// Options configures a live ring.
+// Options configures an Engine.
 type Options[S comparable] struct {
 	// Delay is the base link propagation delay.
 	Delay time.Duration
@@ -42,430 +31,29 @@ type Options[S comparable] struct {
 	LossProb float64
 	// Refresh is the periodic state-announcement interval.
 	Refresh time.Duration
-	// Seed drives all randomness (per-goroutine RNGs are derived from it).
+	// Seed drives all randomness (per-node and per-link PRNG streams are
+	// derived from it).
 	Seed int64
 	// CoherentCaches seeds caches with true neighbor states; otherwise
 	// RandomState (or the node's own state) seeds them.
 	CoherentCaches bool
 	// RandomState draws arbitrary states for incoherent cache seeding.
 	RandomState func(*rand.Rand) S
-	// Workers sets the sharded Engine's worker loop count (0 means
-	// GOMAXPROCS, clamped to [1, n]). The goroutine-per-node Ring
-	// ignores it.
+	// Workers sets the worker loop count (0 means GOMAXPROCS, clamped to
+	// [1, n]).
 	Workers int
-	// Spare preallocates dormant extra nodes (ids n..n+Spare-1) on the
-	// sharded Engine for mid-run ScheduleJoin churn; an engine with spares
-	// or scheduled churn runs on one worker (the shard arcs assume a
-	// static ring). The goroutine-per-node Ring ignores it.
+	// Spare preallocates dormant extra nodes (ids n..n+Spare-1) for
+	// mid-run ScheduleJoin churn; an engine with spares or scheduled churn
+	// runs on one worker (the shard arcs assume a static ring).
 	Spare int
 }
 
-// Snapshot is one node's published view: its own state and its neighbor
-// caches. It is immutable once published.
+// Snapshot is one node's view: its own state and its neighbor caches.
 type Snapshot[S comparable] struct {
 	// State is the node's local state q_i.
 	State S
 	// CachePred is Z_i[v_{i-1}], CacheSucc is Z_i[v_{i+1}].
 	CachePred, CacheSucc S
-}
-
-// Ring is a running (or runnable) live ring.
-type Ring[S comparable] struct {
-	alg   statemodel.Algorithm[S]
-	n     int
-	opts  Options[S]
-	nodes []*liveNode[S]
-	links []*link[S] // 2n directed links
-
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	started bool
-	stopped bool
-
-	obsv *obs.Observer
-	t0   time.Time
-}
-
-type link[S comparable] struct {
-	in, out  chan S
-	from, to int
-	delay    time.Duration
-	jitter   time.Duration
-	loss     float64
-	dropped  atomic.Int64
-	carried  atomic.Int64
-}
-
-type liveNode[S comparable] struct {
-	alg        statemodel.Algorithm[S]
-	id, n      int
-	state      S
-	cachePred  S
-	cacheSucc  S
-	fromPred   chan S
-	fromSucc   chan S
-	inject     chan S
-	toPred     *link[S]
-	toSucc     *link[S]
-	refresh    time.Duration
-	rng        *rand.Rand
-	snap       atomic.Pointer[Snapshot[S]]
-	executions atomic.Int64
-	// OnPrivilege, when non-nil, is called (from the node goroutine) every
-	// time the node evaluates its own privilege after a change; the
-	// application layer uses it to switch activity on and off.
-	OnPrivilege func(id int, holds bool)
-	holder      func(statemodel.View[S]) bool
-	wasPriv     bool
-	ring        *Ring[S]
-}
-
-// NewRing builds a live ring over init. Call Start to launch it and Stop
-// (or cancel via StartContext) to tear it down.
-func NewRing[S comparable](alg statemodel.Algorithm[S], init statemodel.Config[S], opts Options[S]) *Ring[S] {
-	n := alg.N()
-	if len(init) != n {
-		panic(fmt.Sprintf("runtime: init length %d != n %d", len(init), n))
-	}
-	if opts.Refresh <= 0 {
-		panic("runtime: Refresh must be positive")
-	}
-	r := &Ring[S]{alg: alg, n: n, opts: opts, t0: time.Now()}
-	seedRNG := rand.New(rand.NewSource(opts.Seed))
-
-	// Directed links: index 2i   = i -> i+1 (to successor),
-	//                 index 2i+1 = i -> i-1 (to predecessor).
-	r.links = make([]*link[S], 2*n)
-	for i := range r.links {
-		node := i / 2
-		peer := (node + 1) % n
-		if i%2 == 1 {
-			peer = (node - 1 + n) % n
-		}
-		r.links[i] = &link[S]{
-			in:     make(chan S, 1),
-			out:    make(chan S, 1),
-			from:   node,
-			to:     peer,
-			delay:  opts.Delay,
-			jitter: opts.Jitter,
-			loss:   opts.LossProb,
-		}
-	}
-
-	r.nodes = make([]*liveNode[S], n)
-	for i := 0; i < n; i++ {
-		pred, succ := (i-1+n)%n, (i+1)%n
-		nd := &liveNode[S]{
-			alg:      alg,
-			id:       i,
-			n:        n,
-			state:    init[i],
-			fromPred: r.links[2*pred].out,   // pred -> me (pred's to-successor link)
-			fromSucc: r.links[2*succ+1].out, // succ -> me (succ's to-predecessor link)
-			inject:   make(chan S, 4),
-			toPred:   r.links[2*i+1],
-			toSucc:   r.links[2*i],
-			refresh:  opts.Refresh,
-			rng:      rand.New(rand.NewSource(seedRNG.Int63())),
-			ring:     r,
-		}
-		if opts.CoherentCaches {
-			nd.cachePred, nd.cacheSucc = init[pred], init[succ]
-		} else if opts.RandomState != nil {
-			nd.cachePred, nd.cacheSucc = opts.RandomState(seedRNG), opts.RandomState(seedRNG)
-		} else {
-			nd.cachePred, nd.cacheSucc = init[i], init[i]
-		}
-		nd.publish()
-		r.nodes[i] = nd
-	}
-	return r
-}
-
-// SetPrivilegeCallback installs holder as the node-local privilege
-// predicate and cb as the notification hook, for all nodes. Must be called
-// before Start.
-func (r *Ring[S]) SetPrivilegeCallback(holder func(statemodel.View[S]) bool, cb func(id int, holds bool)) {
-	if r.started {
-		panic("runtime: SetPrivilegeCallback after Start")
-	}
-	for _, nd := range r.nodes {
-		nd.holder = holder
-		nd.OnPrivilege = cb
-	}
-}
-
-// SetObserver installs o on the ring: rule firings and message
-// send/recv/drop events are emitted from the node and relay goroutines
-// (times are wall-clock seconds since Start). When holder is non-nil it
-// is installed as the privilege predicate on nodes that have none, so
-// privilege handovers are detected and emitted too. Must be called
-// before Start.
-func (r *Ring[S]) SetObserver(o *obs.Observer, holder func(statemodel.View[S]) bool) {
-	if r.started {
-		panic("runtime: SetObserver after Start")
-	}
-	r.obsv = o
-	for _, nd := range r.nodes {
-		if nd.holder == nil {
-			nd.holder = holder
-		}
-	}
-}
-
-// since returns seconds of wall-clock time since the ring started.
-func (r *Ring[S]) since() float64 { return time.Since(r.t0).Seconds() }
-
-// Start launches the ring with a background context.
-func (r *Ring[S]) Start() { r.StartContext(context.Background()) }
-
-// StartContext launches every link relay and node goroutine under ctx.
-func (r *Ring[S]) StartContext(ctx context.Context) {
-	r.mu.Lock()
-	if r.started {
-		r.mu.Unlock()
-		panic("runtime: double Start")
-	}
-	r.started = true
-	r.mu.Unlock()
-	r.t0 = time.Now()
-	r.ctx, r.cancel = context.WithCancel(ctx)
-	for i, l := range r.links {
-		r.wg.Add(1)
-		lrng := rand.New(rand.NewSource(r.opts.Seed + 7919*int64(i+1)))
-		go r.relay(l, lrng)
-	}
-	for _, nd := range r.nodes {
-		r.wg.Add(1)
-		go r.runNode(nd)
-	}
-}
-
-// Stop tears the ring down and waits for every goroutine — nodes and
-// link relays, including relays mid-delivery of an in-flight frame — to
-// exit. It is idempotent and safe to call from multiple goroutines
-// concurrently (all callers return only once the ring is fully drained).
-func (r *Ring[S]) Stop() {
-	r.mu.Lock()
-	if !r.started || r.stopped {
-		r.mu.Unlock()
-		return
-	}
-	r.stopped = true
-	r.mu.Unlock()
-	r.cancel()
-	r.wg.Wait()
-}
-
-// relay carries messages over one directed link: at most one in service at
-// a time, with delay, jitter and loss.
-func (r *Ring[S]) relay(l *link[S], rng *rand.Rand) {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.ctx.Done():
-			return
-		case s := <-l.in:
-			d := l.delay
-			if l.jitter > 0 {
-				d += time.Duration(rng.Int63n(int64(l.jitter)))
-			}
-			if d > 0 {
-				select {
-				case <-r.ctx.Done():
-					return
-				case <-time.After(d):
-				}
-			}
-			if l.loss > 0 && rng.Float64() < l.loss {
-				l.dropped.Add(1)
-				if o := r.obsv; o != nil {
-					o.MsgDropped(r.since(), l.to, l.from)
-				}
-				continue
-			}
-			// Deliver; if the receiver's buffer is full the message is
-			// dropped (the medium cannot hold more than one frame).
-			select {
-			case l.out <- s:
-				l.carried.Add(1)
-				if o := r.obsv; o != nil {
-					o.MsgRecv(r.since(), l.to, l.from)
-				}
-			default:
-				l.dropped.Add(1)
-				if o := r.obsv; o != nil {
-					o.MsgDropped(r.since(), l.to, l.from)
-				}
-			}
-		}
-	}
-}
-
-// runNode is the per-node event loop: Algorithm 4 against live channels.
-func (r *Ring[S]) runNode(nd *liveNode[S]) {
-	defer r.wg.Done()
-	// Random phase so refresh timers do not beat in lockstep.
-	phase := time.Duration(nd.rng.Int63n(int64(nd.refresh)))
-	timer := time.NewTimer(phase)
-	defer timer.Stop()
-
-	nd.announce()
-	for {
-		select {
-		case <-r.ctx.Done():
-			return
-		case s := <-nd.fromPred:
-			nd.cachePred = s
-			nd.step()
-		case s := <-nd.fromSucc:
-			nd.cacheSucc = s
-			nd.step()
-		case s := <-nd.inject:
-			// A transient fault: the local state is overwritten in place
-			// (soft error). The node carries on; self-stabilization is
-			// what repairs the damage.
-			nd.state = s
-			nd.publish()
-			nd.notifyPrivilege()
-			nd.announce()
-		case <-timer.C:
-			nd.announce()
-			timer.Reset(nd.refresh)
-		}
-	}
-}
-
-// step executes at most one rule and announces the state.
-//
-//rulecheck:step
-func (nd *liveNode[S]) step() {
-	v := nd.view()
-	if rule := nd.alg.EnabledRule(v); rule != 0 {
-		nd.state = nd.alg.Apply(v, rule)
-		nd.executions.Add(1)
-		if o := nd.ring.obsv; o != nil {
-			o.RuleFired(nd.ring.since(), nd.id, rule)
-		}
-	}
-	nd.publish()
-	nd.notifyPrivilege()
-	nd.announce()
-}
-
-func (nd *liveNode[S]) view() statemodel.View[S] {
-	return statemodel.View[S]{I: nd.id, N: nd.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
-}
-
-func (nd *liveNode[S]) publish() {
-	//lint:ignore hotpath the legacy ring's lock-free sampling needs a fresh immutable snapshot per publish
-	nd.snap.Store(&Snapshot[S]{State: nd.state, CachePred: nd.cachePred, CacheSucc: nd.cacheSucc})
-}
-
-func (nd *liveNode[S]) notifyPrivilege() {
-	if nd.holder == nil {
-		return
-	}
-	holds := nd.holder(nd.view())
-	if nd.OnPrivilege != nil {
-		nd.OnPrivilege(nd.id, holds)
-	}
-	if o := nd.ring.obsv; o != nil && holds != nd.wasPriv {
-		o.Handover(nd.ring.since(), nd.id, holds)
-	}
-	nd.wasPriv = holds
-}
-
-// announce sends the state into both outgoing links, dropping on busy.
-func (nd *liveNode[S]) announce() {
-	nd.send(nd.toPred)
-	nd.send(nd.toSucc)
-}
-
-// send offers the state to one outgoing link, dropping when the link is
-// still holding an undelivered frame (one message per direction).
-func (nd *liveNode[S]) send(l *link[S]) {
-	select {
-	case l.in <- nd.state:
-		if o := nd.ring.obsv; o != nil {
-			o.MsgSent(nd.ring.since(), l.from, l.to)
-		}
-	default:
-		if o := nd.ring.obsv; o != nil {
-			o.MsgDropped(nd.ring.since(), l.to, l.from)
-		}
-	}
-}
-
-// Inject overwrites a node's local state with s — a live transient fault
-// (soft error). It reports whether the fault was enqueued; a node whose
-// fault queue is full (already being hammered) drops it.
-func (r *Ring[S]) Inject(node int, s S) bool {
-	if node < 0 || node >= r.n {
-		panic(fmt.Sprintf("runtime: node %d out of range", node))
-	}
-	select {
-	case r.nodes[node].inject <- s:
-		return true
-	default:
-		return false
-	}
-}
-
-// Snapshots returns the current published snapshot of every node.
-func (r *Ring[S]) Snapshots() []Snapshot[S] {
-	out := make([]Snapshot[S], r.n)
-	for i, nd := range r.nodes {
-		out[i] = *nd.snap.Load()
-	}
-	return out
-}
-
-// Census counts the nodes whose published view satisfies holder.
-func (r *Ring[S]) Census(holder func(statemodel.View[S]) bool) int {
-	count := 0
-	for i, nd := range r.nodes {
-		s := nd.snap.Load()
-		v := statemodel.View[S]{I: i, N: r.n, Self: s.State, Pred: s.CachePred, Succ: s.CacheSucc}
-		if holder(v) {
-			count++
-		}
-	}
-	return count
-}
-
-// Holders returns the ids of nodes whose published view satisfies holder.
-func (r *Ring[S]) Holders(holder func(statemodel.View[S]) bool) []int {
-	var out []int
-	for i, nd := range r.nodes {
-		s := nd.snap.Load()
-		v := statemodel.View[S]{I: i, N: r.n, Self: s.State, Pred: s.CachePred, Succ: s.CacheSucc}
-		if holder(v) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// RuleExecutions sums rule executions across nodes.
-func (r *Ring[S]) RuleExecutions() int64 {
-	var total int64
-	for _, nd := range r.nodes {
-		total += nd.executions.Load()
-	}
-	return total
-}
-
-// LinkStats aggregates carried and dropped message counts over all links.
-func (r *Ring[S]) LinkStats() (carried, dropped int64) {
-	for _, l := range r.links {
-		carried += l.carried.Load()
-		dropped += l.dropped.Load()
-	}
-	return carried, dropped
 }
 
 // CensusStats summarizes a sampling run of WatchCensus.
@@ -478,30 +66,4 @@ type CensusStats struct {
 	At map[int]int
 	// DistinctHolders counts how many distinct nodes were ever privileged.
 	DistinctHolders int
-}
-
-// WatchCensus samples the holder census every interval for the given
-// duration and returns the distribution. It runs in the caller's
-// goroutine.
-func (r *Ring[S]) WatchCensus(holder func(statemodel.View[S]) bool, d, interval time.Duration) CensusStats {
-	stats := CensusStats{Min: 1 << 30, Max: -1, At: map[int]int{}}
-	holders := map[int]bool{}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		c := r.Census(holder)
-		stats.Samples++
-		stats.At[c]++
-		if c < stats.Min {
-			stats.Min = c
-		}
-		if c > stats.Max {
-			stats.Max = c
-		}
-		for _, h := range r.Holders(holder) {
-			holders[h] = true
-		}
-		time.Sleep(interval)
-	}
-	stats.DistinctHolders = len(holders)
-	return stats
 }
