@@ -22,7 +22,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,17 +90,8 @@ func main() {
 		return
 	}
 
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		if r, ok := parse(line); ok {
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	results, err := readBench(os.Stdin, os.Stdout)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}
@@ -118,6 +111,29 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(results), *out)
+}
+
+// procSuffix is the "-<GOMAXPROCS>" go test appends to every benchmark
+// name when GOMAXPROCS > 1. Benchmark names in this repository never end
+// in a dash and digits of their own.
+var procSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// readBench echoes `go test -bench` output from in to echo and returns
+// the parsed result lines, named without the GOMAXPROCS suffix so that
+// records taken on hosts with different CPU counts compare by name.
+func readBench(in io.Reader, echo io.Writer) ([]Result, error) {
+	var results []Result
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		if r, ok := parse(line); ok {
+			r.Name = procSuffix.ReplaceAllString(r.Name, "")
+			results = append(results, r)
+		}
+	}
+	return results, sc.Err()
 }
 
 // parse decodes one `go test -bench` result line, e.g.

@@ -23,6 +23,41 @@ func TestParseStandardUnits(t *testing.T) {
 	}
 }
 
+// TestReadBenchStripsProcSuffix: go test names every benchmark with a
+// "-<GOMAXPROCS>" suffix on multi-CPU hosts; the records drop it, so a
+// run on a 2-CPU host compares by name against one recorded elsewhere.
+func TestReadBenchStripsProcSuffix(t *testing.T) {
+	out := "goos: linux\n" +
+		"BenchmarkRuntimeEngine/engine/n=10000,w=1-2  3  12444318 ns/op  6172873 events/s\n" +
+		"BenchmarkParallelSweepContention/workers=16-64  5  1000 ns/op\n" +
+		"BenchmarkMsgnetStorm/arena/n=32  120  9876543 ns/op\n" +
+		"PASS\n"
+	var echo strings.Builder
+	results, err := readBench(strings.NewReader(out), &echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if echo.String() != out {
+		t.Fatalf("echo changed the output:\n%s", echo.String())
+	}
+	want := []string{
+		"BenchmarkRuntimeEngine/engine/n=10000,w=1",
+		"BenchmarkParallelSweepContention/workers=16",
+		"BenchmarkMsgnetStorm/arena/n=32",
+	}
+	if len(results) != len(want) {
+		t.Fatalf("parsed %d results, want %d", len(results), len(want))
+	}
+	for i, r := range results {
+		if r.Name != want[i] {
+			t.Errorf("result %d named %q, want %q", i, r.Name, want[i])
+		}
+	}
+	if results[0].Metrics["events/s"] != 6172873 {
+		t.Errorf("custom metric lost: %+v", results[0])
+	}
+}
+
 func TestParseCustomMetrics(t *testing.T) {
 	r, ok := parse("BenchmarkMsgnetStorm/arena/n=32-8  120  9876543 ns/op  1234567 events/s  48 B/op  2 allocs/op")
 	if !ok {

@@ -29,7 +29,7 @@
 //
 //	//shardsafety:source
 //	    The function materializes an event record the calling shard owns
-//	    (a heap pop): after a call, the pointed-to record's node field is
+//	    (a queue pop): after a call, the pointed-to record's node field is
 //	    owned.
 //
 // The analysis is a forward pass over each worker body in source order;

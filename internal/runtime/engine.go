@@ -2,8 +2,8 @@ package runtime
 
 // Engine is the live tier: it simulates Algorithm-4 semantics in virtual
 // time — nodes partitioned into contiguous ring arcs, one worker loop per
-// shard, arena-backed event queues, and lock-free SPSC rings for the
-// sends that cross a shard boundary. No allocation happens on the
+// shard, per-epoch bucketed event calendars, and lock-free SPSC rings
+// for the sends that cross a shard boundary. No allocation happens on the
 // hot path, which is what lets one process sustain rings of 100k+ nodes
 // (see BENCH_runtime.json).
 //
@@ -71,15 +71,13 @@ type engLink struct {
 }
 
 // engShard is one worker's territory: the contiguous node arc [lo, hi),
-// its event arena and heap, the SPSC rings toward the neighbor shards,
-// and shard-local counters (summed on demand at barriers).
+// its event calendar, the SPSC rings toward the neighbor shards, and
+// shard-local counters (summed on demand at barriers).
 type engShard[S comparable] struct {
 	id     int32
 	lo, hi int32
 
-	slots []eventSlot[S]
-	free  int32
-	heap  []heapEntry
+	cal calendar[S]
 
 	outLeft, outRight *spsc[S] // produced here, consumed by neighbor shards
 	inLeft, inRight   *spsc[S] // aliases of the neighbors' out rings
@@ -113,7 +111,7 @@ type EngineStats struct {
 // RunUntil (fast virtual time) or Start/Stop (wall-clock paced).
 type Engine[S comparable] struct {
 	// Reference, when set before the first run, replaces the sharded
-	// arena engine with a boxed container/heap event queue processed by
+	// calendar engine with a boxed container/heap event queue processed by
 	// a single loop — the differential twin, mirroring
 	// msgnet.Network.Legacy. Behavior is bit-identical by construction;
 	// the test suite enforces it.
@@ -419,7 +417,9 @@ func (e *Engine[S]) freeze() {
 		}
 		sh := &e.shards[i]
 		sh.id, sh.lo, sh.hi = int32(i), int32(lo), int32(lo+size)
-		sh.free = -1
+		if !e.Reference {
+			sh.cal.init(e.delay, e.jitter, e.refresh, size)
+		}
 		for j := lo; j < lo+size; j++ {
 			e.shardOf[j] = int32(i)
 		}
@@ -474,8 +474,12 @@ func (e *Engine[S]) RunUntil(t float64) {
 	}
 }
 
-// Now returns the current virtual time in seconds.
+// Now returns the current virtual time in seconds. It does not allocate
+// unless the pacer is running.
 func (e *Engine[S]) Now() float64 {
+	if !e.live() {
+		return e.now
+	}
 	var t float64
 	e.do(func() { t = e.now })
 	return t
@@ -512,7 +516,8 @@ func (e *Engine[S]) stepEpoch() {
 }
 
 // shardEpoch drains the shard's inbound rings, then processes every
-// event below the horizon in (at, key2) order.
+// event below the horizon in (at, key2) order: the epoch's calendar
+// bucket, merged with the refresh timers re-armed inside the epoch.
 //
 //shardsafety:worker
 func (e *Engine[S]) shardEpoch(sh *engShard[S], horizon float64) {
@@ -520,11 +525,15 @@ func (e *Engine[S]) shardEpoch(sh *engShard[S], horizon float64) {
 		sh.inLeft.drainInto(sh)
 		sh.inRight.drainInto(sh)
 	}
+	if !sh.cal.open(horizon) {
+		panic("runtime: epoch horizon out of step with the event calendar")
+	}
+	sh.cal.reserve()
 	var rec eventRec[S]
-	for len(sh.heap) > 0 && sh.heap[0].at < horizon {
-		sh.pop(&rec)
+	for sh.pop(&rec) {
 		e.dispatch(sh, &rec)
 	}
+	sh.cal.close()
 }
 
 func (e *Engine[S]) parallelEpoch(horizon float64) {
@@ -719,7 +728,7 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 }
 
 // emit routes a message arrival to its destination shard: same shard
-// goes straight into the arena heap; a boundary crossing rides the SPSC
+// goes straight into its calendar bucket; a boundary crossing rides the SPSC
 // ring of the send's direction (exact even at W=2, where both neighbor
 // shards are the same shard).
 //
@@ -819,7 +828,7 @@ func sortChurn[S comparable](ops []churnOp[S]) {
 
 // applyChurn rewires the ring for one op. It runs between epochs on the
 // driving goroutine, so every node and link is safe to touch. Frames in
-// flight toward a rewired node survive in the event heap; dispatch drops
+// flight toward a rewired node survive in the event calendar; dispatch drops
 // the ones whose sender is no longer the receiver's neighbor, mirroring
 // the msgnet tier's stale-frame discard.
 func (e *Engine[S]) applyChurn(op *churnOp[S]) {
@@ -1182,15 +1191,19 @@ func (e *Engine[S]) drive(ctx context.Context) {
 	}
 }
 
+// live reports whether the pacer is running.
+func (e *Engine[S]) live() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.started && !e.stopped
+}
+
 // do runs f with exclusive access to the engine state: directly when the
 // pacer is not running (single-goroutine fast mode), or on the driver
 // goroutine between epochs when it is. If the pacer stops while we wait,
 // the engine is quiescent and f runs directly.
 func (e *Engine[S]) do(f func()) {
-	e.mu.Lock()
-	live := e.started && !e.stopped
-	e.mu.Unlock()
-	if !live {
+	if !e.live() {
 		f()
 		return
 	}
@@ -1212,7 +1225,7 @@ func (e *Engine[S]) do(f func()) {
 type refEvent[S comparable] struct{ rec eventRec[S] }
 
 // refQueue is a container/heap min-queue of boxed events ordered by the
-// same (at, key2) key the shard heaps use.
+// same (at, key2) key the shard calendars dispatch in.
 type refQueue[S comparable] struct{ evs []*refEvent[S] }
 
 func newRefQueue[S comparable](capHint int) *refQueue[S] {

@@ -1,13 +1,15 @@
 package runtime
 
-// Event plumbing for the sharded virtual-time engine: the per-shard slot
-// arena with an index-based 4-ary heap (the internal/msgnet arena pattern
-// transplanted to the live tier), the lock-free SPSC rings that carry
-// cross-shard sends, the 8-byte splitmix64 PRNG that replaces *rand.Rand
-// on the hot path, and the tap stream the differential test pins
-// bit-identical between the sharded and the boxed reference engine.
+// Event plumbing for the sharded virtual-time engine: the per-shard epoch
+// calendar (per-epoch buckets of chunked records, each ordered by a
+// counting sort when its epoch opens), the lock-free SPSC rings that
+// carry cross-shard sends, the 8-byte splitmix64 PRNG that replaces
+// *rand.Rand on the hot path, and the tap stream the differential test
+// pins bit-identical between the sharded and the boxed reference engine.
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -38,7 +40,7 @@ func (p *prng) float64() float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Event records, slot arena, 4-ary heap
+// Event records and the epoch calendar
 // ---------------------------------------------------------------------------
 
 // Event kinds. Deliveries carry the direction so the receiver knows which
@@ -52,9 +54,10 @@ const (
 )
 
 // eventRec is one pending event in value form — what crosses shard
-// boundaries through the SPSC rings and what the dispatcher consumes.
-// key2 packs (origin node << 32 | origin sequence number): together with
-// at it is the globally unique, deterministic event ordering key.
+// boundaries through the SPSC rings, what the calendar stores and what
+// the dispatcher consumes. key2 packs (origin node << 32 | origin
+// sequence number): together with at it is the globally unique,
+// deterministic event ordering key.
 type eventRec[S comparable] struct {
 	at      float64
 	key2    uint64
@@ -63,125 +66,468 @@ type eventRec[S comparable] struct {
 	payload S
 }
 
-// eventSlot is an arena slot: the payload part of an eventRec plus the
-// free-list link. The (at, key2) ordering key lives in the heap entry so
-// sifts move 24 bytes regardless of the state type's size.
-type eventSlot[S comparable] struct {
-	node    int32
-	kind    uint8
-	next    int32 // free-list link; -1 terminates
-	payload S
-}
-
-// heapEntry is one 4-ary heap element: the ordering key inline, the
-// payload behind an arena index.
-type heapEntry struct {
-	at   float64
-	key2 uint64
-	slot int32
-}
-
-func heapLess(a, b heapEntry) bool {
+// recLess is the dispatch order: (at, key2), unique per event.
+func recLess[S comparable](a, b *eventRec[S]) bool {
 	return a.at < b.at || (a.at == b.at && a.key2 < b.key2)
 }
 
-// alloc grabs a free slot index, growing the arena when the free list is
-// dry. Growth appends (amortized, allocation-free in steady state).
-//
-//allocgate:hot
-func (sh *engShard[S]) alloc() int32 {
-	if sh.free >= 0 {
-		idx := sh.free
-		sh.free = sh.slots[idx].next
-		return idx
+func recCmp[S comparable](a, b eventRec[S]) int {
+	switch {
+	case recLess(&a, &b):
+		return -1
+	case recLess(&b, &a):
+		return 1
 	}
-	sh.slots = append(sh.slots, eventSlot[S]{})
-	return int32(len(sh.slots) - 1)
+	return 0
 }
 
-// release returns a slot to the free list.
+// Calendar geometry.
+const (
+	// minWindow and maxWindow bound the bucket ring, in epochs. The
+	// window is derived from Delay, Jitter and Refresh so that every
+	// frame and refresh timer lands inside it; a longer refresh period or
+	// a far-ahead ScheduleInject waits in the overflow list instead.
+	minWindow = 4
+	maxWindow = 64
+	// Chunks hold 1<<shift records, sized to the shard's arc within
+	// these bounds, so tiny engines stay tiny.
+	minChunkShift = 3
+	maxChunkShift = 6
+	// An opening bucket is split by time into slices of about sliceLen
+	// records, each ordered and dispatched before the next is touched;
+	// slices up to smallRun records skip the counting pass, and runs up
+	// to smallSort records are insertion-sorted.
+	sliceLen  = 512
+	smallRun  = 32
+	smallSort = 16
+)
+
+// chain is a list of pool chunks holding records, every chunk full
+// except the tail: an epoch's bucket, or one time slice of the open
+// epoch.
+type chain struct {
+	head, tail int32
+	n          int32
+}
+
+// calendar is a shard's event queue: a ring of per-epoch buckets. The
+// engine's epochs are the only points where virtual time is cut, and
+// every frame lands at least one epoch after its send, so a record is
+// filed straight into the bucket of the epoch that will dispatch it.
+//
+// When that epoch opens, its bucket is split by time into slices of
+// about sliceLen records. Slices are then taken in time order: each is
+// ordered by (at, key2) — a counting sort on at into one bin per record,
+// then a sort inside each bin — into a small run buffer and dispatched
+// front to back. Records are stored inline in fixed-size chunks drawn
+// from a shard-local free pool; a chunk goes back to the pool as soon as
+// it has been read, so memory follows the number of pending events, not
+// the peak size of any one bucket.
+//
+// Epoch horizons are the float-accumulated ones stepEpoch produces
+// (h_k = h_{k-1} + Delay), not (k+1)·Delay, so filing compares against
+// the exact horizons in hz and never files a record one epoch late.
+type calendar[S comparable] struct {
+	delay, invDelay float64
+
+	cur     int       // the epoch that is open, or opens next
+	lo      float64   // the horizon of epoch cur-1: where epoch cur starts
+	mask    int       // window-1; the window is a power of two
+	hz      []float64 // hz[k&mask]: the horizon of epoch k, k in [cur, cur+window)
+	buckets []chain   // buckets[k&mask]: the records epoch k dispatches
+
+	// The chunk pool: chunk c is pool[c<<shift:][:1<<shift]. link chains
+	// chunks, and the free list headed by free (-1: dry).
+	shift uint
+	pool  []eventRec[S]
+	link  []int32
+	free  int32
+
+	// The open epoch: slices are its time slices, slice s holding the
+	// records whose (at-lo)·scale falls in [s, s+1); run is the current
+	// slice in dispatch order. late holds the records pushed while the
+	// epoch is open that still fall before its horizon (a re-armed
+	// refresh timer when Refresh < Delay), kept sorted and merged with
+	// the runs as both are consumed.
+	opened   bool
+	slices   []chain
+	nextSl   int
+	scale    float64
+	run      []eventRec[S]
+	next     int
+	late     []eventRec[S]
+	lateNext int
+	cnt      []int32 // counting-sort bins
+
+	// ovf holds the records beyond the window, ovfMin the earliest of
+	// their times; they are re-filed as the window advances.
+	ovf    []eventRec[S]
+	ovfMin float64
+}
+
+// init sizes the calendar for an arc of nodes nodes and sets it at
+// epoch 0, whose horizon is 0 + delay. A node has about three events
+// pending at a time — a refresh timer and a frame on each inbound link —
+// so the pool starts with room for three per node plus the chains'
+// partly filled tail chunks.
+func (q *calendar[S]) init(delay, jitter, refresh float64, nodes int) {
+	w := minWindow
+	for need := math.Ceil(math.Max(delay+jitter, refresh)/delay) + 2; float64(w) < need && w < maxWindow; {
+		w <<= 1
+	}
+	q.delay, q.invDelay = delay, 1/delay
+	q.mask = w - 1
+	q.hz = make([]float64, w)
+	q.buckets = make([]chain, w)
+	h := 0.0
+	for k := range q.hz {
+		h += delay
+		q.hz[k] = h
+	}
+	q.shift = minChunkShift
+	for q.shift < maxChunkShift && 1<<q.shift < nodes/4 {
+		q.shift++
+	}
+	chunks := (3*nodes)>>q.shift + 2*w + 2*nodes/sliceLen + 1
+	q.pool = make([]eventRec[S], chunks<<q.shift)
+	q.link = make([]int32, chunks)
+	for c := range q.link {
+		q.link[c] = int32(c) + 1
+	}
+	q.link[chunks-1] = -1
+	q.free = 0
+	q.ovfMin = math.Inf(1)
+}
+
+// ahead returns the offset a of the epoch cur+a whose span [h_{cur+a-1},
+// h_{cur+a}) holds at — 0 for anything before the horizon of epoch cur —
+// or -1 when that epoch is beyond the window. The estimate from Delay is
+// corrected against the exact horizons; both loops are bounded by the
+// window and take at most a step in practice.
 //
 //allocgate:hot
-func (sh *engShard[S]) release(idx int32) {
-	sh.slots[idx].next = sh.free
-	sh.free = idx
+func (q *calendar[S]) ahead(at float64) int {
+	h := q.hz[q.cur&q.mask]
+	if at < h {
+		return 0
+	}
+	if at >= q.hz[(q.cur+q.mask)&q.mask] {
+		return -1
+	}
+	a := q.mask
+	if d := (at - h) * q.invDelay; d < float64(q.mask-1) {
+		a = int(d) + 1
+	}
+	for at < q.hz[(q.cur+a-1)&q.mask] {
+		a--
+	}
+	for at >= q.hz[(q.cur+a)&q.mask] {
+		a++
+	}
+	return a
 }
 
-// push inserts rec into the shard's arena and heap.
+// push files rec: into the bucket of its epoch, into the open epoch's
+// late list, or beyond the window into the overflow list.
 //
 //shardsafety:worker owns=rec.node
 //allocgate:hot
 func (sh *engShard[S]) push(rec eventRec[S]) {
-	idx := sh.alloc()
-	s := &sh.slots[idx]
-	s.node, s.kind, s.payload = rec.node, rec.kind, rec.payload
-	sh.heap = append(sh.heap, heapEntry{})
-	sh.up(len(sh.heap)-1, heapEntry{at: rec.at, key2: rec.key2, slot: idx})
+	q := &sh.cal
+	switch a := q.ahead(rec.at); {
+	case a < 0:
+		q.ovf = append(q.ovf, rec)
+		q.ovfMin = min(q.ovfMin, rec.at)
+	case a == 0 && q.opened:
+		q.pushLate(&rec)
+	default:
+		q.file(&q.buckets[(q.cur+a)&q.mask], &rec)
+	}
 }
 
-// pop removes the minimum event into rec and releases its slot. The heap
-// must be non-empty. The popped record's destination is owned by the
-// shard: only owned-destination records ever enter a shard's heap.
+// file appends rec to the chain ch.
+//
+//allocgate:hot
+func (q *calendar[S]) file(ch *chain, rec *eventRec[S]) {
+	i := int(ch.n) & (1<<q.shift - 1)
+	if i == 0 {
+		c := q.chunk()
+		if ch.n == 0 {
+			ch.head = c
+		} else {
+			q.link[ch.tail] = c
+		}
+		ch.tail = c
+	}
+	q.pool[int(ch.tail)<<q.shift+i] = *rec
+	ch.n++
+}
+
+// chunk takes a chunk from the free pool, growing the pool when it is
+// dry. Growth appends (amortized, allocation-free in steady state).
+//
+//allocgate:hot
+func (q *calendar[S]) chunk() int32 {
+	if c := q.free; c >= 0 {
+		q.free = q.link[c]
+		return c
+	}
+	q.link = append(q.link, -1)
+	q.pool = resize(q.pool, len(q.pool)+1<<q.shift)
+	return int32(len(q.link) - 1)
+}
+
+// release returns chunk c to the free pool.
+//
+//allocgate:hot
+func (q *calendar[S]) release(c int32) {
+	q.link[c] = q.free
+	q.free = c
+}
+
+// resize returns s with length n, growing it by append: amortized, and
+// allocation-free once s has reached its working size. Callers write
+// every element it exposes before reading it.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	var zero T
+	for s = s[:cap(s)]; len(s) < n; {
+		s = append(s, zero)
+	}
+	return s
+}
+
+// pushLate inserts rec into the open epoch's late list. Those records are
+// re-armed timers, produced in non-decreasing at order by the dispatch
+// itself, so the insertion walks back over equal-at ties at most.
+//
+//allocgate:hot
+func (q *calendar[S]) pushLate(rec *eventRec[S]) {
+	q.late = append(q.late, *rec)
+	for i := len(q.late) - 1; i > q.lateNext && recLess(&q.late[i], &q.late[i-1]); i-- {
+		q.late[i], q.late[i-1] = q.late[i-1], q.late[i]
+	}
+}
+
+// open starts the epoch whose horizon is horizon: it splits the epoch's
+// bucket into time slices, returning each bucket chunk to the pool once
+// read, so the slices reuse the bucket's own chunks. It reports false,
+// opening nothing, when horizon is not the horizon the calendar
+// accumulated for its next epoch.
+//
+//allocgate:hot
+func (q *calendar[S]) open(horizon float64) bool {
+	if horizon != q.hz[q.cur&q.mask] {
+		return false
+	}
+	b := &q.buckets[q.cur&q.mask]
+	m := int(b.n)
+	ns := 1
+	for ns*sliceLen*2 <= m {
+		ns <<= 1
+	}
+	q.slices = resize(q.slices, ns)
+	q.scale = float64(ns) / (horizon - q.lo)
+	if !(horizon > q.lo) {
+		q.scale = 0
+	}
+	if ns == 1 {
+		q.slices[0] = *b
+	} else {
+		clear(q.slices)
+		size := 1 << q.shift
+		for c, left := b.head, m; left > 0; {
+			chunk := q.pool[int(c)<<q.shift:][:min(left, size)]
+			for i := range chunk {
+				q.file(&q.slices[binOf(chunk[i].at, q.lo, q.scale, 0, ns)], &chunk[i])
+			}
+			left -= len(chunk)
+			next := q.link[c]
+			q.release(c)
+			c = next
+		}
+	}
+	*b = chain{}
+	q.nextSl = 0
+	q.run, q.next = q.run[:0], 0
+	q.opened = true
+	return true
+}
+
+// reserve grows the run and the counting bins to the open epoch's
+// largest slice, with headroom. It is the calendar's only allocation
+// outside the pool, and allocates only when a slice outgrows every
+// earlier one: a ring in its steady state never does.
+func (q *calendar[S]) reserve() {
+	m := 0
+	for _, sl := range q.slices {
+		m = max(m, int(sl.n))
+	}
+	if cap(q.run) < m {
+		q.run = make([]eventRec[S], 0, m+m/4)
+	}
+	if cap(q.cnt) <= m {
+		q.cnt = make([]int32, 0, m+m/4+1)
+	}
+}
+
+// load orders the next time slice into the run, which reserve sized,
+// and returns its chunks to the pool. The slice's records spread over
+// its share of the epoch, so a counting sort on at into one bin per
+// record puts them in time order up to the records sharing a bin, which
+// a sort inside each bin settles. The counting and scattering passes read
+// straight from the chunks.
+//
+//allocgate:hot
+func (q *calendar[S]) load() {
+	sl := q.slices[q.nextSl]
+	off := float64(q.nextSl)
+	q.nextSl++
+	m := int(sl.n)
+	q.run, q.next = q.run[:m], 0
+	if m == 0 {
+		return
+	}
+	run := q.run
+	size := 1 << q.shift
+	if m <= smallRun {
+		for c, done := sl.head, 0; done < m; c = q.link[c] {
+			done += copy(run[done:], q.pool[int(c)<<q.shift:][:size])
+		}
+		sortRecs(run)
+	} else {
+		// Bin k holds the records whose (at-lo)·scale - off lies in
+		// [k/m, (k+1)/m): monotone in at, so the bins are in time order.
+		lo, scale, boff := q.lo, q.scale*float64(m), off*float64(m)
+		cnt := q.cnt[:m+1]
+		clear(cnt)
+		for c, left := sl.head, m; left > 0; c = q.link[c] {
+			chunk := q.pool[int(c)<<q.shift:][:min(left, size)]
+			for i := range chunk {
+				cnt[binOf(chunk[i].at, lo, scale, boff, m)+1]++
+			}
+			left -= len(chunk)
+		}
+		for i := 1; i <= m; i++ {
+			cnt[i] += cnt[i-1]
+		}
+		for c, left := sl.head, m; left > 0; c = q.link[c] {
+			chunk := q.pool[int(c)<<q.shift:][:min(left, size)]
+			for i := range chunk {
+				k := binOf(chunk[i].at, lo, scale, boff, m)
+				run[cnt[k]] = chunk[i]
+				cnt[k]++
+			}
+			left -= len(chunk)
+		}
+		// cnt[k] is now the end of bin k.
+		start := int32(0)
+		for _, end := range cnt[:m] {
+			if end-start > 1 {
+				sortRecs(run[start:end])
+			}
+			start = end
+		}
+	}
+	q.link[sl.tail] = q.free
+	q.free = sl.head
+}
+
+// binOf maps at to a bin in [0, bins): (at-lo)·scale - off, truncated and
+// clamped — monotone in at.
+func binOf(at, lo, scale, off float64, bins int) int {
+	k := int((at-lo)*scale - off)
+	if k < 0 {
+		return 0
+	}
+	if k >= bins {
+		return bins - 1
+	}
+	return k
+}
+
+// sortRecs orders a short run by insertion and a long one — only an
+// unusually crowded bin — by a comparison sort.
+func sortRecs[S comparable](r []eventRec[S]) {
+	if len(r) > smallSort {
+		slices.SortFunc(r, recCmp[S])
+		return
+	}
+	for i := 1; i < len(r); i++ {
+		if !recLess(&r[i], &r[i-1]) {
+			continue
+		}
+		x := r[i]
+		j := i
+		for ; j > 0 && recLess(&x, &r[j-1]); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = x
+	}
+}
+
+// pop moves the open epoch's next record, in (at, key2) order, into rec
+// and reports whether there was one. Every record a shard's calendar
+// holds is destined for a node the shard owns.
 //
 //shardsafety:source
 //allocgate:hot
-func (sh *engShard[S]) pop(rec *eventRec[S]) {
-	top := sh.heap[0]
-	last := len(sh.heap) - 1
-	ent := sh.heap[last]
-	sh.heap = sh.heap[:last]
-	if last > 0 {
-		sh.down(0, ent)
+func (sh *engShard[S]) pop(rec *eventRec[S]) bool {
+	q := &sh.cal
+	for q.next == len(q.run) && q.nextSl < len(q.slices) {
+		q.load()
 	}
-	s := &sh.slots[top.slot]
-	rec.at, rec.key2 = top.at, top.key2
-	rec.node, rec.kind, rec.payload = s.node, s.kind, s.payload
-	sh.release(top.slot)
+	if q.lateNext < len(q.late) && (q.next == len(q.run) || recLess(&q.late[q.lateNext], &q.run[q.next])) {
+		*rec = q.late[q.lateNext]
+		q.lateNext++
+		return true
+	}
+	if q.next < len(q.run) {
+		*rec = q.run[q.next]
+		q.next++
+		return true
+	}
+	return false
 }
 
-// up sifts ent from hole i toward the root (hole-based: ent is written
-// exactly once, at its final position).
+// close ends the open epoch and advances the window by one: the freed
+// slot becomes the epoch one past the old window end. Overflow records
+// are re-filed once the earliest of them is within half a window, so each
+// is examined about twice per window it waits.
 //
 //allocgate:hot
-func (sh *engShard[S]) up(i int, ent heapEntry) {
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !heapLess(ent, sh.heap[parent]) {
-			break
-		}
-		sh.heap[i] = sh.heap[parent]
-		i = parent
+func (q *calendar[S]) close() {
+	q.opened = false
+	q.slices, q.nextSl = q.slices[:0], 0
+	q.run, q.next = q.run[:0], 0
+	q.late, q.lateNext = q.late[:0], 0
+	slot := q.cur & q.mask
+	q.lo = q.hz[slot]
+	q.hz[slot] = q.hz[(q.cur+q.mask)&q.mask] + q.delay
+	q.cur++
+	if len(q.ovf) > 0 && q.ovfMin < q.hz[(q.cur+(q.mask+1)/2)&q.mask] {
+		q.sweep()
 	}
-	sh.heap[i] = ent
 }
 
-// down sifts ent from hole i toward the leaves.
+// sweep re-files every overflow record that now falls inside the window.
 //
 //allocgate:hot
-func (sh *engShard[S]) down(i int, ent heapEntry) {
-	n := len(sh.heap)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
+func (q *calendar[S]) sweep() {
+	keep := q.ovf[:0]
+	q.ovfMin = math.Inf(1)
+	for i := range q.ovf {
+		rec := q.ovf[i]
+		if a := q.ahead(rec.at); a >= 0 {
+			q.file(&q.buckets[(q.cur+a)&q.mask], &rec)
+			continue
 		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if heapLess(sh.heap[c], sh.heap[best]) {
-				best = c
-			}
-		}
-		if !heapLess(sh.heap[best], ent) {
-			break
-		}
-		sh.heap[i] = sh.heap[best]
-		i = best
+		keep = append(keep, rec)
+		q.ovfMin = min(q.ovfMin, rec.at)
 	}
-	sh.heap[i] = ent
+	q.ovf = keep
 }
 
 // ---------------------------------------------------------------------------
@@ -220,8 +566,8 @@ type spsc[S comparable] struct {
 	// ovf is the overflow stack, used only when the fixed buffer is
 	// full. The producer CAS-pushes (a plain store would race the
 	// consumer's Swap below), the consumer swaps the whole stack out.
-	// Stack order is irrelevant: every drained record goes through the
-	// shard heap, which orders by the unique (at, key2).
+	// Stack order is irrelevant: every drained record is filed by the
+	// shard's calendar, which orders each epoch by the unique (at, key2).
 	ovf atomic.Pointer[spscNode[S]]
 }
 
@@ -244,7 +590,7 @@ func (q *spsc[S]) pushRing(rec eventRec[S]) {
 }
 
 // drainInto moves every visible entry — ring first, then the overflow
-// stack — into the shard's heap. It is the receiving side of the SPSC
+// stack — into the shard's calendar. It is the receiving side of the SPSC
 // crossing: everything it drains was addressed to sh by the sender's
 // gate, so its pushes are exempt from provenance checks.
 //
