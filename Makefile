@@ -45,9 +45,10 @@ bench-check:
 
 # Record the instrumentation layer's no-op-sink overhead on the hot paths
 # (state-reading steps, discrete events) in BENCH_obs.json; the "nop"
-# variants must stay within 5% of their "bare" twins.
+# variants must stay within 5% of their "bare" twins. Each row is the
+# median of five runs.
 bench-obs:
-	$(GO) test -run '^$$' -bench 'ObsOverhead' -benchmem . \
+	$(GO) test -run '^$$' -bench 'ObsOverhead' -benchmem -count 5 . \
 	  | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 
 # Record the event-engine rebuild: legacy boxed heap vs zero-alloc arena
@@ -94,6 +95,10 @@ bench-smoke:
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_batch_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_batch.json /tmp/bench_batch_smoke.json
+	$(GO) test -run '^$$' -bench 'ObsOverhead' -benchmem -benchtime 20x . \
+	  | $(GO) run ./cmd/benchjson -o /tmp/bench_obs_smoke.json
+	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
+	  BENCH_obs.json /tmp/bench_obs_smoke.json
 
 # Regenerate every paper artifact + extension ablations (see EXPERIMENTS.md).
 experiments:

@@ -402,6 +402,12 @@ func makeDaemon(sc Scenario) statemodel.Daemon {
 	}
 }
 
+// holderAudit, when non-nil, receives every state- and msgnet-tier
+// observation: the tier, the instant, the holder tracker, and the census
+// and holder sets of a full rescan. Tests install it to hold the tracker
+// to the rescans it replaces.
+var holderAudit func(engine string, t float64, trk *holderTracker, census int, prim, sec []int)
+
 // runState executes the scenario in the state-reading model. Faults of
 // type "states" are injected at the step index proportional to their
 // scheduled time; the settle window after a perturbation is the paper's
@@ -423,14 +429,22 @@ func runState(sc Scenario, o *obs.Observer) EngineResult {
 	for i := range members {
 		members[i] = i
 	}
+	// The tracker is rescanned at the start and after each fault; in
+	// between, a step changes only the views of its movers and their
+	// neighbors.
+	trk := newHolderTracker(sc.N)
 	observe := func(t float64, c statemodel.Config[core.State]) {
-		chk.observe(t, verify.Count(c).Privileged)
-		prim, secd := holdersOf(c)
+		if holderAudit != nil {
+			holderAudit(EngineState, t, trk, verify.Count(c).Privileged, alg.PrimaryHolders(c), alg.SecondaryHolders(c))
+		}
+		chk.observe(t, trk.census())
+		prim, secd := trk.singletons()
 		sep.Observe(t, members, prim, secd)
 	}
 
 	res := EngineResult{Engine: EngineState}
 	globalStep := 0
+	trk.rescanConfig(cfg)
 	observe(0, cfg)
 
 	runTo := func(target int) {
@@ -444,6 +458,7 @@ func runState(sc Scenario, o *obs.Observer) EngineResult {
 		base := globalStep
 		sim.OnStep = func(step int, moves []statemodel.Move, c statemodel.Config[core.State]) {
 			res.RuleExecutions += int64(len(moves))
+			trk.stepped(c, moves)
 			observe(float64(base+step), c)
 		}
 		done := sim.Run(target - globalStep)
@@ -467,6 +482,7 @@ func runState(sc Scenario, o *obs.Observer) EngineResult {
 			return drawState(r, sc.K)
 		})
 		chk.perturb(float64(globalStep))
+		trk.rescanConfig(cfg)
 		observe(float64(globalStep), cfg)
 	}
 	runTo(sc.Steps)
@@ -521,8 +537,21 @@ func runMsgnet(sc Scenario, o *obs.Observer, shared *Resources) EngineResult {
 	// stop, not closure while they keep arriving, so each corruption opens
 	// a settle window like any scheduled fault. The link monitor is not
 	// affected — the one-message-per-direction rule holds unconditionally.
+	//
+	// A dispatched event runs one node's handler, which changes only that
+	// node's state and caches — the whole of its view — so after each event
+	// the holder tracker re-evaluates just the node the tap named. The
+	// first observation (after Start) and the first after each fault, which
+	// rewrites states, caches or the topology between Run calls, rescan
+	// every node instead.
+	trk := newHolderTracker(len(ring.Nodes))
+	rescan := true
+	touched := -1
 	ring.Net.Tap = func(e msgnet.TapEvent) {
-		if e.Kind == msgnet.TapCorrupted {
+		switch e.Kind {
+		case msgnet.TapDeliver, msgnet.TapTimer:
+			touched = e.Node
+		case msgnet.TapCorrupted:
 			chk.perturb(float64(e.At))
 		}
 		mon.Tap(e)
@@ -532,13 +561,25 @@ func runMsgnet(sc Scenario, o *obs.Observer, shared *Resources) EngineResult {
 	var members []int
 	membersStale := true
 	ring.Net.Observer = func(now msgnet.Time) {
+		switch {
+		case rescan:
+			trk.rescanRing(ring)
+			rescan = false
+		case touched >= 0:
+			trk.ringNode(ring, touched)
+		}
+		touched = -1
 		t := float64(now)
-		chk.observe(t, ring.Census(core.HasToken))
+		if holderAudit != nil {
+			holderAudit(EngineMsgnet, t, trk, ring.Census(core.HasToken), ring.Holders(core.HasPrimary), ring.Holders(core.HasSecondary))
+		}
+		chk.observe(t, trk.census())
 		if membersStale {
 			members = ring.Members()
 			membersStale = false
 		}
-		sep.Observe(t, members, ring.Holders(core.HasPrimary), ring.Holders(core.HasSecondary))
+		prim, secd := trk.singletons()
+		sep.Observe(t, members, prim, secd)
 	}
 
 	inj := fault.NewInjector(sc.Seed + 1)
@@ -567,6 +608,7 @@ func runMsgnet(sc Scenario, o *obs.Observer, shared *Resources) EngineResult {
 			ring.Splice(f.Node, f.Count)
 			membersStale = true
 		}
+		rescan = true
 		chk.perturb(f.At)
 	}
 	ring.Net.Run(msgnet.Time(sc.Horizon))

@@ -28,12 +28,17 @@ const maxViolations = 64
 // where that bookkeeping and the paper's model disagree, as the
 // duplicated-delivery bug did.
 type LinkMonitor struct {
-	links      map[[2]int]*linkOccupancy
+	// links[from] holds the occupancy of every directed link out of
+	// from that has carried a frame — a ring node has two, a few more
+	// once churn rewires it — so a lookup is a short linear scan.
+	links      [][]linkOccupancy
 	violations []Violation
 	truncated  int
 }
 
 type linkOccupancy struct {
+	// to is the link's receiving end.
+	to int
 	// outstanding counts admitted frames (sends + scheduled duplicates)
 	// not yet delivered.
 	outstanding int
@@ -51,7 +56,23 @@ type pendingAdmission struct {
 
 // NewLinkMonitor returns an empty monitor; install its Tap on a Network.
 func NewLinkMonitor() *LinkMonitor {
-	return &LinkMonitor{links: map[[2]int]*linkOccupancy{}}
+	return &LinkMonitor{}
+}
+
+// link returns the occupancy record of the directed link from→to,
+// creating an empty one on first use.
+func (m *LinkMonitor) link(from, to int) *linkOccupancy {
+	for from >= len(m.links) {
+		m.links = append(m.links, nil)
+	}
+	out := m.links[from]
+	for i := range out {
+		if out[i].to == to {
+			return &out[i]
+		}
+	}
+	m.links[from] = append(out, linkOccupancy{to: to})
+	return &m.links[from][len(out)]
 }
 
 // Tap consumes one network tap event. Install as (or call from) the
@@ -62,12 +83,7 @@ func (m *LinkMonitor) Tap(e msgnet.TapEvent) {
 	default:
 		return
 	}
-	key := [2]int{e.From, e.Node}
-	l := m.links[key]
-	if l == nil {
-		l = &linkOccupancy{}
-		m.links[key] = l
-	}
+	l := m.link(e.From, e.Node)
 	switch e.Kind {
 	case msgnet.TapSend:
 		if l.outstanding > 0 {

@@ -10,9 +10,6 @@ package crosscheck
 
 import (
 	"fmt"
-
-	"ssrmin/internal/core"
-	"ssrmin/internal/statemodel"
 )
 
 // settleWindows tracks perturbation instants and answers whether an
@@ -132,19 +129,4 @@ func ringDistance(members []int, a, b int) int {
 		return back
 	}
 	return d
-}
-
-// holdersOf splits a configuration into its primary- and secondary-token
-// holder sets (the state tier's analogue of Ring.Holders).
-func holdersOf(c statemodel.Config[core.State]) (prim, sec []int) {
-	for i := range c {
-		v := c.View(i)
-		if core.HasPrimary(v) {
-			prim = append(prim, i)
-		}
-		if core.HasSecondary(v) {
-			sec = append(sec, i)
-		}
-	}
-	return prim, sec
 }

@@ -257,8 +257,12 @@ type Network[P any] struct {
 
 	// Obs, when non-nil, receives message send/recv/drop counters and
 	// events; times are simulated seconds. Suppressed, lost and
-	// checksum-discarded messages all count as drops.
+	// checksum-discarded messages all count as drops. Sink events are
+	// emitted as they happen; the counters are tallied locally and
+	// published when Run, Step or SendFrom returns.
 	Obs *obs.Observer
+	// tally batches Obs's counters between flushes.
+	tally obs.Tally
 
 	// Legacy, when set before the first event is scheduled, runs the
 	// simulation on the seed implementation's boxed container/heap queue
@@ -510,7 +514,16 @@ func (n *Network[P]) Rand() *rand.Rand { return n.rng }
 // Context.Send: the link-busy rule, loss/corruption/duplication coins and
 // tap stream all apply identically.
 func (n *Network[P]) SendFrom(from, to int, payload P) bool {
-	return n.send(from, to, payload)
+	ok := n.send(from, to, payload)
+	n.flushObs()
+	return ok
+}
+
+// flushObs publishes the tallied counters to Obs.
+func (n *Network[P]) flushObs() {
+	if n.Obs != nil {
+		n.Obs.Flush(&n.tally)
+	}
 }
 
 // StartTimer arms a timer for node after d time units, outside a handler
@@ -549,7 +562,7 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 		n.stats.Lost++
 		n.tap(TapEvent{At: n.now, Kind: TapLost, Node: to, From: from})
 		if o := n.Obs; o != nil {
-			o.MsgDropped(float64(n.now), to, from)
+			n.tally.MsgDropped(o, float64(n.now), to, from)
 		}
 		return false
 	}
@@ -557,7 +570,7 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 		n.stats.Suppressed++
 		n.tap(TapEvent{At: n.now, Kind: TapSuppressed, Node: to, From: from})
 		if o := n.Obs; o != nil {
-			o.MsgDropped(float64(n.now), to, from)
+			n.tally.MsgDropped(o, float64(n.now), to, from)
 		}
 		return false
 	}
@@ -573,7 +586,7 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 		n.stats.Lost++
 		n.tap(TapEvent{At: n.now, Kind: TapLost, Node: to, From: from})
 		if o := n.Obs; o != nil {
-			o.MsgDropped(float64(n.now), to, from)
+			n.tally.MsgDropped(o, float64(n.now), to, from)
 		}
 		l.busyUntil = n.now + l.params.Delay + n.jitter(l)
 		return false
@@ -585,7 +598,7 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 			// No corruption hook: model a checksum that discards the
 			// damaged frame (it still occupied the medium).
 			if o := n.Obs; o != nil {
-				o.MsgDropped(float64(n.now), to, from)
+				n.tally.MsgDropped(o, float64(n.now), to, from)
 			}
 			l.busyUntil = n.now + l.params.Delay + n.jitter(l)
 			return false
@@ -598,7 +611,7 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 	n.stats.Sent++
 	n.tap(TapEvent{At: n.now, Kind: TapSend, Node: to, From: from})
 	if o := n.Obs; o != nil {
-		o.MsgSent(float64(n.now), from, to)
+		n.tally.MsgSent(o, float64(n.now), from, to)
 	}
 	if l.params.DupProb > 0 && n.rng.Float64() < l.params.DupProb {
 		// The duplicate is the same frame echoing on the medium, so it
@@ -653,12 +666,13 @@ func (n *Network[P]) start() {
 // Step processes the next event. It reports false when the queue is empty.
 func (n *Network[P]) Step() bool {
 	n.start()
-	if n.qLen() == 0 {
-		return false
+	ok := n.qLen() > 0
+	if ok {
+		e := n.qPop()
+		n.dispatch(&e)
 	}
-	e := n.qPop()
-	n.dispatch(&e)
-	return true
+	n.flushObs()
+	return ok
 }
 
 // dispatch advances the clock to *e and runs its callback.
@@ -674,7 +688,7 @@ func (n *Network[P]) dispatch(e *event[P]) {
 		n.stats.Delivered++
 		n.tap(TapEvent{At: n.now, Kind: TapDeliver, Node: node, From: int(e.from)})
 		if o := n.Obs; o != nil {
-			o.MsgRecv(float64(n.now), node, int(e.from))
+			n.tally.MsgRecv(o, float64(n.now), node, int(e.from))
 		}
 		n.handlers[node].Receive(ctx, int(e.from), e.load)
 	case evTimer:
@@ -710,5 +724,6 @@ func (n *Network[P]) Run(until Time) int {
 	if n.now < until {
 		n.now = until
 	}
+	n.flushObs()
 	return count
 }

@@ -49,6 +49,18 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
+// merge adds pre-bucketed samples: buckets[i] samples in bucket i,
+// count samples in all, summing to sum.
+func (h *Histogram) merge(buckets *[Buckets]int64, count, sum int64) {
+	for i, c := range buckets {
+		if c != 0 {
+			h.buckets[i].Add(c)
+		}
+	}
+	h.count.Add(count)
+	h.sum.Add(sum)
+}
+
 // Count returns the number of samples observed.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -189,6 +189,91 @@ func (o *Observer) RuleFired(t float64, node, rule int) {
 	}
 }
 
+// Tally batches the counters of one single-threaded emitter (a step
+// loop, a discrete-event network) between publications: tallying is
+// plain adds, and Flush publishes the batch to the observer's atomic
+// counters and moves-per-step histogram at once, so a no-op observer
+// costs the emitter a few adds per action instead of atomic
+// read-modify-writes. Sink events are not batched: each method forwards
+// its event as it happens. Every method takes the observer the tally is
+// flushed to, which must not be nil. The zero value is ready.
+type Tally struct {
+	steps, fired         int64
+	rules                [MaxRules]int64
+	moves                [Buckets]int64
+	movesSum             int64
+	sent, recvd, dropped int64
+}
+
+// Step tallies one daemon step that executed moves rules.
+func (t *Tally) Step(moves int) {
+	t.steps++
+	t.moves[bucketOf(int64(moves))]++
+	t.movesSum += int64(moves)
+}
+
+// RuleFired tallies process node executing rule at time at.
+func (t *Tally) RuleFired(o *Observer, at float64, node, rule int) {
+	t.fired++
+	if rule > 0 && rule < MaxRules {
+		t.rules[rule]++
+	}
+	if o.emit {
+		o.sink.Emit(Event{T: at, Kind: KindRuleFired, Node: node, Peer: -1, Rule: rule})
+	}
+}
+
+// MsgSent tallies a message from node entering the link toward peer.
+func (t *Tally) MsgSent(o *Observer, at float64, from, to int) {
+	t.sent++
+	if o.emit {
+		o.sink.Emit(Event{T: at, Kind: KindMsgSent, Node: from, Peer: to})
+	}
+}
+
+// MsgRecv tallies a delivery to node from peer.
+func (t *Tally) MsgRecv(o *Observer, at float64, to, from int) {
+	t.recvd++
+	if o.emit {
+		o.sink.Emit(Event{T: at, Kind: KindMsgRecv, Node: to, Peer: from})
+	}
+}
+
+// MsgDropped tallies a message toward node (from peer) that was lost,
+// suppressed or corrupted away.
+func (t *Tally) MsgDropped(o *Observer, at float64, to, from int) {
+	t.dropped++
+	if o.emit {
+		o.sink.Emit(Event{T: at, Kind: KindMsgDropped, Node: to, Peer: from})
+	}
+}
+
+// Flush adds t's tallies to the observer's counters and histogram and
+// resets t.
+func (o *Observer) Flush(t *Tally) {
+	if o == nil || *t == (Tally{}) {
+		return
+	}
+	addNonzero(&o.C.Steps, t.steps)
+	addNonzero(&o.C.RuleFired, t.fired)
+	addNonzero(&o.C.MsgSent, t.sent)
+	addNonzero(&o.C.MsgRecv, t.recvd)
+	addNonzero(&o.C.MsgDropped, t.dropped)
+	for r := range t.rules {
+		addNonzero(&o.C.Rules[r], t.rules[r])
+	}
+	if t.steps != 0 {
+		o.StepMoves.merge(&t.moves, t.steps, t.movesSum)
+	}
+	*t = Tally{}
+}
+
+func addNonzero(c *atomic.Int64, n int64) {
+	if n != 0 {
+		c.Add(n)
+	}
+}
+
 // TokenMoved records the primary token moving from one process to another.
 func (o *Observer) TokenMoved(t float64, from, to int) {
 	if o == nil {

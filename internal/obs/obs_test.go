@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -240,4 +241,50 @@ func TestFirstGainSentinel(t *testing.T) {
 	if !math.IsNaN(math.Float64frombits(o.lastGain.Load())) {
 		t.Fatal("lastGain sentinel must start as NaN")
 	}
+}
+
+// TestTallyFlushMatchesDirect pins a flushed Tally to the same counters,
+// histogram and event stream as the direct per-action Observer methods.
+func TestTallyFlushMatchesDirect(t *testing.T) {
+	var directEvents, tallyEvents []Event
+	direct := New(Func(func(e Event) { directEvents = append(directEvents, e) }))
+	tallied := New(Func(func(e Event) { tallyEvents = append(tallyEvents, e) }))
+	var tl Tally
+	for i := 0; i < 40; i++ {
+		at := float64(i)
+		moves := i%5 + i/20*9
+		direct.Step(at, moves)
+		tl.Step(moves)
+		direct.RuleFired(at, i%7, i%MaxRules)
+		tl.RuleFired(tallied, at, i%7, i%MaxRules)
+		direct.MsgSent(at, 0, 1)
+		tl.MsgSent(tallied, at, 0, 1)
+		if i%3 == 0 {
+			direct.MsgRecv(at, 1, 0)
+			tl.MsgRecv(tallied, at, 1, 0)
+		} else {
+			direct.MsgDropped(at, 1, 0)
+			tl.MsgDropped(tallied, at, 1, 0)
+		}
+		if i%16 == 15 {
+			tallied.Flush(&tl)
+		}
+	}
+	if tallied.C.Steps.Load() != 32 {
+		t.Errorf("counters published before Flush: steps = %d, want 32", tallied.C.Steps.Load())
+	}
+	tallied.Flush(&tl)
+	tallied.Flush(&tl)
+	if got, want := tallied.Vars(), direct.Vars(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("flushed vars %v, direct %v", got, want)
+	}
+	if tallied.StepMoves.Snapshot() != direct.StepMoves.Snapshot() || tallied.StepMoves.Sum() != direct.StepMoves.Sum() {
+		t.Errorf("step-moves histogram %v (sum %d), direct %v (sum %d)",
+			tallied.StepMoves.Snapshot(), tallied.StepMoves.Sum(), direct.StepMoves.Snapshot(), direct.StepMoves.Sum())
+	}
+	if fmt.Sprint(tallyEvents) != fmt.Sprint(directEvents) {
+		t.Errorf("tallied events differ from direct ones:\n%v\n%v", tallyEvents, directEvents)
+	}
+	var nilObs *Observer
+	nilObs.Flush(&tl)
 }

@@ -176,14 +176,20 @@ func Enabled[S comparable](alg Algorithm[S], c Config[S]) []Move {
 func Apply[S comparable](alg Algorithm[S], c Config[S], moves []Move) Config[S] {
 	next := c.Clone()
 	for _, m := range moves {
-		v := c.View(m.Process)
-		if got := alg.EnabledRule(v); got != m.Rule {
-			panic(fmt.Sprintf("statemodel: process %d: move claims rule %d but enabled rule is %d",
-				m.Process, m.Rule, got))
-		}
-		next[m.Process] = alg.Apply(v, m.Rule)
+		next[m.Process] = applyMove(alg, c, m)
 	}
 	return next
+}
+
+// applyMove returns the state process m.Process writes when it executes
+// m.Rule in c, panicking if that is not the process's enabled rule.
+func applyMove[S comparable](alg Algorithm[S], c Config[S], m Move) S {
+	v := c.View(m.Process)
+	if got := alg.EnabledRule(v); got != m.Rule {
+		panic(fmt.Sprintf("statemodel: process %d: move claims rule %d but enabled rule is %d",
+			m.Process, m.Rule, got))
+	}
+	return alg.Apply(v, m.Rule)
 }
 
 // Daemon is a process scheduler. Given the nonempty set of enabled moves of
@@ -204,20 +210,43 @@ type Daemon interface {
 }
 
 // Simulator drives an execution γ0, γ1, … of an algorithm under a daemon.
+//
+// A step evaluates guards for O(moves) processes, not n: a move changes
+// only its own process's state, which only that process and its two ring
+// neighbors read, so the simulator keeps every process's enabled rule and
+// re-evaluates just the movers and their neighbors after each step.
 type Simulator[S comparable] struct {
 	alg    Algorithm[S]
 	daemon Daemon
 	cfg    Config[S]
 	steps  int
 
+	// rules[i] is process i's enabled rule in cfg (0 = not enabled); nil
+	// until the first step evaluates every process.
+	rules []int
+	// enabled is the reused buffer handed to the daemon.
+	enabled []Move
+	// next stages the movers' new states, read from the old cfg before
+	// any is written back.
+	next []S
+	// picked[i] is the step stamp (steps+1) of the last selection that
+	// contained process i, for the duplicate check.
+	picked []int
+	// tally batches Obs's step counters between flushes.
+	tally obs.Tally
+
 	// OnStep, when non-nil, is invoked after every transition with the
 	// step index (1 for the first transition), the moves executed, and the
-	// resulting configuration. Hooks must not mutate cfg.
+	// resulting configuration. cfg is the simulator's own configuration,
+	// updated in place by the next step: it is valid only during the hook,
+	// which must neither mutate nor retain it (Clone to keep a snapshot).
 	OnStep func(step int, moves []Move, cfg Config[S])
 
 	// Obs, when non-nil, receives one step record and one rule-fired
-	// event per executed move; the event time is the step index. Install
-	// it before running.
+	// event per executed move; the event time is the step index. Sink
+	// events are emitted per step; the counters and the moves-per-step
+	// histogram are tallied locally and published when Step, Run or
+	// RunUntil returns. Install it before running.
 	Obs *obs.Observer
 }
 
@@ -245,20 +274,49 @@ func (s *Simulator[S]) Enabled() []Move { return Enabled(s.alg, s.cfg) }
 // Step performs one transition. It returns the executed moves and true, or
 // nil and false when no process is enabled (a deadlock — which Lemma 4 of
 // the paper rules out for SSRmin, but other algorithms may reach one).
+// The moves are the daemon's selection; if the daemon returns a slice of
+// the enabled set it was given, it is valid only until the next step.
 func (s *Simulator[S]) Step() ([]Move, bool) {
-	enabled := Enabled(s.alg, s.cfg)
-	if len(enabled) == 0 {
+	sel, ok := s.step()
+	s.flush()
+	return sel, ok
+}
+
+// step is Step without publishing the observer tally.
+func (s *Simulator[S]) step() ([]Move, bool) {
+	if s.rules == nil {
+		s.prime()
+	}
+	s.enabled = s.enabled[:0]
+	for i, r := range s.rules {
+		if r != 0 {
+			s.enabled = append(s.enabled, Move{Process: i, Rule: r})
+		}
+	}
+	if len(s.enabled) == 0 {
 		return nil, false
 	}
-	sel := s.daemon.Select(enabled)
-	validateSelection(enabled, sel)
-	s.cfg = Apply(s.alg, s.cfg, sel)
+	sel := s.daemon.Select(s.enabled)
+	s.validate(sel)
+	s.next = s.next[:0]
+	for _, m := range sel {
+		s.next = append(s.next, applyMove(s.alg, s.cfg, m))
+	}
+	for k, m := range sel {
+		s.cfg[m.Process] = s.next[k]
+	}
+	n := len(s.cfg)
+	for _, m := range sel {
+		for _, i := range [3]int{(m.Process - 1 + n) % n, m.Process, (m.Process + 1) % n} {
+			s.rules[i] = s.alg.EnabledRule(s.cfg.View(i))
+		}
+	}
 	s.steps++
-	if s.Obs != nil {
+	if o := s.Obs; o != nil {
 		t := float64(s.steps)
-		s.Obs.Step(t, len(sel))
+		s.tally.Step(len(sel))
 		for _, m := range sel {
-			s.Obs.RuleFired(t, m.Process, m.Rule)
+			s.tally.RuleFired(o, t, m.Process, m.Rule)
 		}
 	}
 	if s.OnStep != nil {
@@ -267,12 +325,50 @@ func (s *Simulator[S]) Step() ([]Move, bool) {
 	return sel, true
 }
 
+// prime evaluates every process's enabled rule.
+func (s *Simulator[S]) prime() {
+	n := len(s.cfg)
+	s.rules = make([]int, n)
+	s.picked = make([]int, n)
+	s.enabled = make([]Move, 0, n)
+	s.next = make([]S, 0, n)
+	for i := range s.cfg {
+		s.rules[i] = s.alg.EnabledRule(s.cfg.View(i))
+	}
+}
+
+// validate checks that sel is a nonempty subset of the enabled moves
+// without repeats, in O(len(sel)).
+func (s *Simulator[S]) validate(sel []Move) {
+	if len(sel) == 0 {
+		panic("statemodel: daemon selected the empty set")
+	}
+	stamp := s.steps + 1
+	for _, m := range sel {
+		if m.Process < 0 || m.Process >= len(s.rules) || m.Rule == 0 || s.rules[m.Process] != m.Rule {
+			panic(fmt.Sprintf("statemodel: daemon selected %v which is not enabled", m))
+		}
+		if s.picked[m.Process] == stamp {
+			panic(fmt.Sprintf("statemodel: daemon selected %v twice", m))
+		}
+		s.picked[m.Process] = stamp
+	}
+}
+
+// flush publishes the tallied step counters to Obs.
+func (s *Simulator[S]) flush() {
+	if s.Obs != nil {
+		s.Obs.Flush(&s.tally)
+	}
+}
+
 // RunUntil steps the simulation until pred holds for the current
 // configuration or maxSteps further transitions were made. It returns the
 // number of transitions performed by this call and whether pred was
 // reached. The predicate is also checked before the first step, so a call
 // on an already-satisfying configuration returns (0, true).
 func (s *Simulator[S]) RunUntil(pred func(Config[S]) bool, maxSteps int) (int, bool) {
+	defer s.flush()
 	done := 0
 	for {
 		if pred(s.cfg) {
@@ -281,7 +377,7 @@ func (s *Simulator[S]) RunUntil(pred func(Config[S]) bool, maxSteps int) (int, b
 		if done >= maxSteps {
 			return done, false
 		}
-		if _, ok := s.Step(); !ok {
+		if _, ok := s.step(); !ok {
 			return done, false
 		}
 		done++
@@ -293,32 +389,13 @@ func (s *Simulator[S]) RunUntil(pred func(Config[S]) bool, maxSteps int) (int, b
 func (s *Simulator[S]) Run(maxSteps int) int {
 	done := 0
 	for done < maxSteps {
-		if _, ok := s.Step(); !ok {
+		if _, ok := s.step(); !ok {
 			break
 		}
 		done++
 	}
+	s.flush()
 	return done
-}
-
-func validateSelection(enabled, sel []Move) {
-	if len(sel) == 0 {
-		panic("statemodel: daemon selected the empty set")
-	}
-	allowed := make(map[Move]bool, len(enabled))
-	for _, m := range enabled {
-		allowed[m] = true
-	}
-	seen := make(map[Move]bool, len(sel))
-	for _, m := range sel {
-		if !allowed[m] {
-			panic(fmt.Sprintf("statemodel: daemon selected %v which is not enabled", m))
-		}
-		if seen[m] {
-			panic(fmt.Sprintf("statemodel: daemon selected %v twice", m))
-		}
-		seen[m] = true
-	}
 }
 
 // Schedule is a recorded sequence of daemon selections, one entry per
