@@ -11,12 +11,14 @@
 //     the exact worst-case stabilization time is reported.
 //   - Theorem 1: 1 ≤ privileged ≤ 2 in every legitimate configuration.
 //
-// By default the checks run on the table-compiled parallel ID-space engine
+// By default the checks run on the table-compiled ID-space engine
 // (internal/check.Engine): guards and commands are compiled once into
-// per-class transition tables and every scan — including the convergence
-// longest-path analysis — works on dense uint64 configuration IDs sharded
-// across -workers goroutines. That makes the n=5, K=6 instance (24⁵ ≈
-// 7.96M configurations) exhaustively checkable. -legacy selects the
+// per-class transition tables and every pass works on dense uint64
+// configuration IDs. The full-space scans are sharded across -workers
+// goroutines; the convergence longest-path analysis is a sequential
+// memoized depth-first search that stores no edge. That makes the n=5,
+// K=6 instance (24⁵ ≈ 7.96M configurations) exhaustively checkable in
+// seconds and ~70 MiB. -legacy selects the
 // original Decode/Encode path (the differential baseline).
 //
 // The process exits non-zero on any lemma violation, so `make modelcheck`
@@ -43,7 +45,7 @@ func main() {
 		k       = flag.Int("k", 0, "counter space K (default n+1)")
 		algF    = flag.String("alg", "ssrmin", "algorithm: ssrmin | sstoken")
 		maxConf = flag.Uint64("max-configs", 50_000_000, "refuse spaces larger than this")
-		workers = flag.Int("workers", 0, "parallel workers for all engine scans (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "parallel workers for the engine's full-space scans (0 = GOMAXPROCS)")
 		legacy  = flag.Bool("legacy", false, "use the legacy Decode/Encode checker instead of the compiled engine")
 	)
 	var prof cliconf.Profile
@@ -184,7 +186,7 @@ func checkSSRmin(n, k int, maxConf uint64, workers int) bool {
 	if !conv.Converges {
 		fmt.Printf("     cycle through %v\n", conv.Cycle)
 	} else {
-		fmt.Printf("     |Γ∖Λ| = %d, worst start %v, graph edges %d, %d Kahn layers, bookkeeping %.1f MiB\n",
+		fmt.Printf("     |Γ∖Λ| = %d, worst start %v, graph edges %d, %d layers, bookkeeping %.1f MiB\n",
 			conv.Illegitimate, conv.WorstStart, stats.Edges, stats.Layers,
 			float64(stats.BookkeepingBytes)/(1<<20))
 	}

@@ -1,17 +1,20 @@
-// The parallel ID-space engine: every pass of the model checker —
-// legitimate-set construction, no-deadlock, closure, invariant scans, and
-// the convergence longest-path analysis — reimplemented over compiled
-// transition tables (tables.go) and contiguous uint64 ID ranges sharded
-// across a worker pool. Reports are bit-identical to the legacy
-// Checker passes (differential_test.go pins this on every seed instance);
-// the speedup comes from eliminating Decode/Encode, View construction and
-// per-node map allocation from the hot path, and from near-linear scaling
-// of the scans with cores.
+// The ID-space engine: every pass of the model checker — legitimate-set
+// construction, no-deadlock, closure, invariant scans, and the convergence
+// longest-path analysis — reimplemented over compiled transition tables
+// (tables.go) and dense uint64 configuration IDs. The legitimate-set and
+// no-deadlock scans shard contiguous ID ranges across a worker pool; the
+// closure walk over Λ and the convergence analysis, a memoized
+// depth-first search that stores no edge, are sequential. Reports are
+// bit-identical to the legacy Checker passes (differential_test.go pins
+// this on every seed instance, convergence_golden.json freezes the
+// convergence results); the speedup comes from eliminating Decode/Encode,
+// View construction and per-node map allocation from the hot path.
 package check
 
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"ssrmin/internal/parsweep"
 	"ssrmin/internal/statemodel"
@@ -158,29 +161,30 @@ func (e *Engine[S]) CheckClosure(lam *IDSet) ClosureReport[S] {
 	return rep
 }
 
-// ConvStats reports the bookkeeping cost of one convergence analysis.
+// ConvStats reports the cost of one convergence analysis.
 type ConvStats struct {
 	// Edges is the number of illegitimate→illegitimate transition-graph
-	// edges materialized in the reverse-adjacency CSR.
+	// edges (distinct successors), each generated once and never stored.
 	Edges uint64
-	// Layers is the number of synchronized Kahn frontiers processed.
+	// Layers is 1 + the longest illegitimate→illegitimate chain among the
+	// configurations that cannot reach a cycle (0 when there are none).
+	// It equals the frontier count of a layered Kahn peel of the same
+	// graph.
 	Layers int
-	// BookkeepingBytes is the peak size of the engine's dense arrays
-	// (out-degrees, CSR offsets+edges, distance/best arrays, bitmaps).
+	// BookkeepingBytes is the peak size of the pass's working memory: the
+	// per-configuration marks, which become the distance array, plus the
+	// capacity the DFS stack, the shared successor slab and the
+	// subset-sum scratch grew to.
 	BookkeepingBytes uint64
 }
 
 // CheckConvergence verifies convergence under the unfair distributed
 // daemon — the transition relation restricted to Γ∖lam must be acyclic —
-// and computes the exact worst-case stabilization time, exactly like the
-// legacy Checker.CheckConvergence but as a two-phase parallel analysis:
-//
-//  1. Two parallel sweeps over the ID space build, per illegitimate
-//     configuration, its out-degree into Γ∖Λ and the reverse adjacency
-//     (predecessor lists) in CSR form.
-//  2. A layered Kahn pass peels nodes whose successors are all finalized,
-//     propagating longest distances to predecessors with atomic max/
-//     decrement counters. Unprocessed residue ⇔ a cycle.
+// and computes the exact worst-case stabilization time, with the same
+// semantics as the legacy Checker.CheckConvergence. The analysis is one
+// sequential memoized depth-first search that expands each illegitimate
+// configuration's successors from the compiled tables exactly once and
+// stores no edge; see convergence.
 func (e *Engine[S]) CheckConvergence(lam *IDSet) (ConvergenceReport[S], ConvStats) {
 	rep, _, stats := e.convergence(lam, e.allRules)
 	if rep.Converges {
@@ -222,216 +226,176 @@ func (e *Engine[S]) LongestRestricted(rules map[int]bool) (steps int, start stat
 	return rep.WorstSteps, rep.WorstStart, true
 }
 
-func atomicMaxInt32(p *int32, v int32) {
-	for {
-		old := atomic.LoadInt32(p)
-		if v <= old || atomic.CompareAndSwapInt32(p, old, v) {
-			return
-		}
-	}
+// Marks of the convergence search, one int32 per configuration, kept in
+// the array that becomes the distance array when the search ends.
+const (
+	unvisited int32 = 0
+	onStack   int32 = -1 // frame pushed, not yet closed
+	cyclic    int32 = -2 // closed, reaches a cycle
+	legit     int32 = -3 // in Λ
+)
+
+// A closed configuration that cannot reach a cycle is marked
+// finished(dist, chain) = 2·dist + [chain = dist] ≥ 1, using
+// chain ∈ {dist−1, dist}. Ordering marks orders dist first, so the
+// largest mark among a set of configurations unpacks to both their
+// largest dist and their largest chain.
+func finished(dist, chain int32) int32 { return dist + chain + 1 }
+
+func unpack(m int32) (dist, chain int32) {
+	dist = m >> 1
+	return dist, dist - 1 + m&1
 }
 
+// frame is one configuration on the DFS stack: slab[lo:hi] holds its
+// successors and cur the next one to visit; best is the largest finished
+// mark among the illegitimate successors visited so far (0 for none).
+type frame struct {
+	id          uint32
+	hasSucc     bool // any successor at all, legitimate ones included
+	cyc         bool // reaches a cycle
+	best        int32
+	lo, cur, hi int
+}
+
+// convergence is the longest-path analysis behind CheckConvergence,
+// Distances and LongestRestricted, over the moves permitted by ruleMask.
+// Per illegitimate configuration u it defines
+//
+//	dist(u)  = 0 without a successor, else 1 + max(0, max dist(v)),
+//	chain(u) = 0 without an illegitimate successor, else 1 + max chain(v),
+//
+// over u's illegitimate successors v (legitimate ones contribute 0). A
+// configuration without a permitted move is terminal with distance 0, as
+// the rule-restricted analysis needs.
+//
+// One iterative depth-first search from every unvisited illegitimate ID in
+// increasing order computes both. Each configuration's successors are
+// regenerated from the compiled tables once, into a slab shared by the
+// whole stack, when its frame is pushed; no edge outlives its frame. A
+// successor still on the stack closes a cycle: the frame is marked, and
+// the mark reaches every ancestor as it closes and every later
+// configuration that reaches a marked one, so the marked set is exactly
+// the configurations that can reach a cycle. Marked configurations keep
+// distance 0 and Cycle decodes the smallest marked ID.
+//
+// The marks take 4 bytes per configuration, beside lam. The stack is as
+// deep as the longest path the search follows, at most WorstSteps+1
+// frames when the graph converges.
 func (e *Engine[S]) convergence(lam *IDSet, ruleMask uint32) (ConvergenceReport[S], []int32, ConvStats) {
 	var rep ConvergenceReport[S]
-	rep.Converges = true
 	total := e.total
-	ch := e.chunks()
-
-	// Phase 1a: out-degrees into Γ∖Λ and predecessor counts. hasSucc
-	// records whether a node has any successor at all (legitimate ones
-	// included): a node without one is terminal with distance 0, matching
-	// the legacy rule-restriction semantics.
-	outdeg := make([]int32, total)
-	predCnt := make([]uint32, total)
-	hasSucc := newIDSet(total)
-	type sweepTotals struct{ illegit, edges uint64 }
-	totals := parsweep.Map(len(ch), e.workers, func(ci int) sweepTotals {
-		var t sweepTotals
-		movers := make([]mover, 0, e.n)
-		succs := make([]uint64, 0, 64)
-		sums := make([]int64, 1<<uint(e.n))
-		e.scanRange(ch[ci].lo, ch[ci].hi, func(id uint64, digits []int) {
-			if lam.Contains(id) {
-				return
-			}
-			t.illegit++
-			movers = e.enabledMoves(digits, ruleMask, movers[:0])
-			succs, sums = distinctSuccessors(id, movers, succs[:0], sums)
-			if len(succs) > 0 {
-				hasSucc.set(id)
-			}
-			var od int32
-			for _, v := range succs {
-				if lam.Contains(v) {
-					continue
-				}
-				od++
-				atomic.AddUint32(&predCnt[v], 1)
-			}
-			outdeg[id] = od
-			t.edges += uint64(od)
-		})
-		return t
+	mark := make([]int32, total)
+	lam.ForEach(func(id uint64) bool {
+		mark[id] = legit
+		return true
 	})
-	var illegit, edges uint64
-	for _, t := range totals {
-		illegit += t.illegit
-		edges += t.edges
-	}
-	rep.Illegitimate = illegit
 
-	// Phase 1b: CSR reverse adjacency. offsets is the usual prefix sum;
-	// cur is the per-node fill cursor, advanced atomically in the second
-	// parallel sweep.
-	offsets := make([]uint64, total+1)
-	for id := uint64(0); id < total; id++ {
-		offsets[id+1] = offsets[id] + uint64(predCnt[id])
-	}
-	preds := make([]uint32, edges)
-	cur := make([]uint64, total)
-	copy(cur, offsets[:total])
-	predCnt = nil
-	parsweep.Map(len(ch), e.workers, func(ci int) struct{} {
-		movers := make([]mover, 0, e.n)
-		succs := make([]uint64, 0, 64)
-		sums := make([]int64, 1<<uint(e.n))
-		e.scanRange(ch[ci].lo, ch[ci].hi, func(id uint64, digits []int) {
-			if lam.Contains(id) {
-				return
-			}
-			movers = e.enabledMoves(digits, ruleMask, movers[:0])
-			succs, sums = distinctSuccessors(id, movers, succs[:0], sums)
-			for _, v := range succs {
-				if lam.Contains(v) {
-					continue
-				}
-				slot := atomic.AddUint64(&cur[v], 1) - 1
-				preds[slot] = uint32(id)
-			}
-		})
-		return struct{}{}
-	})
-	cur = nil
+	var (
+		stack  []frame
+		slab   []uint32
+		sums   []int64
+		movers = make([]mover, 0, e.n)
+		digits = make([]int, e.n)
 
-	stats := ConvStats{
-		Edges: edges,
-		BookkeepingBytes: 4*total + 4*total + 8*(total+1) + 8*total +
-			4*edges + 4*total + 4*total + 3*(total+7)/8,
-	}
-
-	// Phase 2: layered Kahn over the reverse graph. best[u] accumulates
-	// the max distance over u's finalized illegitimate successors
-	// (legitimate successors contribute 0); when u's out-degree counter
-	// hits zero its distance is final: best+1, or 0 for terminals.
-	best := make([]int32, total)
-	dist := make([]int32, total)
-	finalized := newIDSet(total)
-	var frontier []uint32
-	fronts := parsweep.Map(len(ch), e.workers, func(ci int) []uint32 {
-		var out []uint32
-		for id := ch[ci].lo; id < ch[ci].hi; id++ {
-			if lam.Contains(id) || outdeg[id] != 0 {
-				continue
-			}
-			if hasSucc.Contains(id) {
-				dist[id] = 1
-			}
-			finalized.set(id)
-			out = append(out, uint32(id))
+		edges    uint64
+		maxChain int32 = -1
+		worst    int32
+		worstID  uint64
+		cycleID  = total
+	)
+	for root := uint64(0); root < total; root++ {
+		if mark[root] != unvisited {
+			continue
 		}
-		return out
-	})
-	var finalCnt uint64
-	for _, f := range fronts {
-		finalCnt += uint64(len(f))
-		frontier = append(frontier, f...)
-	}
+		v := root
+	descend:
+		for {
+			e.digitsOf(v, digits)
+			movers = e.enabledMoves(digits, ruleMask, movers[:0])
+			lo := len(slab)
+			slab, sums = distinctSuccessors(v, movers, slab, sums)
+			mark[v] = onStack
+			stack = append(stack, frame{id: uint32(v), hasSucc: len(slab) > lo, lo: lo, cur: lo, hi: len(slab)})
 
-	for len(frontier) > 0 {
-		stats.Layers++
-		parts := splitFrontier(frontier, e.workers*4)
-		results := parsweep.Map(len(parts), e.workers, func(pi int) []uint32 {
-			var next []uint32
-			for _, v32 := range parts[pi] {
-				v := uint64(v32)
-				dv := dist[v]
-				for _, u32 := range preds[offsets[v]:offsets[v+1]] {
-					u := uint64(u32)
-					atomicMaxInt32(&best[u], dv)
-					if atomic.AddInt32(&outdeg[u], -1) == 0 {
-						// Last successor finalized; every competing max
-						// happened before its decrement, so best[u] is
-						// complete.
-						dist[u] = atomic.LoadInt32(&best[u]) + 1
-						finalized.setAtomic(u)
-						next = append(next, u32)
+			for len(stack) > 0 {
+				f := &stack[len(stack)-1]
+				for f.cur < f.hi {
+					s := uint64(slab[f.cur])
+					f.cur++
+					m := mark[s]
+					if m == legit {
+						continue // contributes distance 0 and no edge
+					}
+					edges++
+					switch {
+					case m == unvisited:
+						v = s
+						continue descend
+					case m < 0: // on the stack, or reaches a cycle
+						f.cyc = true
+					default:
+						f.best = max(f.best, m)
+					}
+				}
+
+				// Every successor is folded: close f.
+				id := uint64(f.id)
+				rep.Illegitimate++
+				m := cyclic
+				if f.cyc {
+					cycleID = min(cycleID, id)
+				} else {
+					var d, chain int32
+					if f.best > 0 {
+						d, chain = unpack(f.best)
+						d, chain = d+1, chain+1
+					} else if f.hasSucc {
+						d = 1
+					}
+					m = finished(d, chain)
+					maxChain = max(maxChain, chain)
+					if d > worst || (d == worst && id < worstID) {
+						worst, worstID = d, id
+					}
+				}
+				mark[id] = m
+				slab = slab[:f.lo]
+				stack = stack[:len(stack)-1]
+				if len(stack) > 0 {
+					if p := &stack[len(stack)-1]; m == cyclic {
+						p.cyc = true
+					} else {
+						p.best = max(p.best, m)
 					}
 				}
 			}
-			return next
-		})
-		frontier = frontier[:0]
-		for _, r := range results {
-			finalCnt += uint64(len(r))
-			frontier = append(frontier, r...)
+			break // stack empty: on to the next root
 		}
 	}
 
-	if finalCnt < illegit {
-		// Residue ⇔ a cycle through every unprocessed node.
-		rep.Converges = false
-		for id := uint64(0); id < total; id++ {
-			if !lam.Contains(id) && !finalized.Contains(id) {
-				rep.Cycle = e.c.Decode(id)
-				break
-			}
+	stats := ConvStats{
+		Edges:  edges,
+		Layers: int(maxChain + 1),
+		BookkeepingBytes: 4*uint64(len(mark)) + uint64(cap(stack))*uint64(unsafe.Sizeof(frame{})) +
+			4*uint64(cap(slab)) + 8*uint64(cap(sums)),
+	}
+	// The marks become the distances.
+	for id, m := range mark {
+		var d int32
+		if m > 0 {
+			d, _ = unpack(m)
 		}
-		return rep, dist, stats
+		mark[id] = d
 	}
-
-	// Max distance with smallest-ID tie-break, reduced per chunk.
-	type worst struct {
-		d  int32
-		id uint64
+	if cycleID < total {
+		rep.Cycle = e.c.Decode(cycleID)
+		return rep, mark, stats
 	}
-	ws := parsweep.Map(len(ch), e.workers, func(ci int) worst {
-		w := worst{0, ^uint64(0)}
-		for id := ch[ci].lo; id < ch[ci].hi; id++ {
-			if d := dist[id]; d > w.d {
-				w = worst{d, id}
-			}
-		}
-		return w
-	})
-	w := worst{0, ^uint64(0)}
-	for _, c := range ws {
-		if c.d > w.d || (c.d == w.d && c.id < w.id) {
-			w = c
-		}
+	rep.Converges = true
+	rep.WorstSteps = int(worst)
+	if worst > 0 {
+		rep.WorstStart = e.c.Decode(worstID)
 	}
-	rep.WorstSteps = int(w.d)
-	if w.d > 0 {
-		rep.WorstStart = e.c.Decode(w.id)
-	}
-	return rep, dist, stats
-}
-
-// splitFrontier partitions f into at most parts contiguous slices.
-func splitFrontier(f []uint32, parts int) [][]uint32 {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(f) {
-		parts = len(f)
-	}
-	out := make([][]uint32, 0, parts)
-	step := (len(f) + parts - 1) / parts
-	for lo := 0; lo < len(f); lo += step {
-		hi := lo + step
-		if hi > len(f) {
-			hi = len(f)
-		}
-		out = append(out, f[lo:hi])
-	}
-	return out
+	return rep, mark, stats
 }

@@ -117,6 +117,106 @@ func TestEngineDetectsCycle(t *testing.T) {
 	}
 }
 
+// smallestCycleReacher is the brute-force oracle for the cycle witness: on
+// the graph of Γ∖lam under the permitted rules (nil means all), built from
+// the legacy Checker's successor relation, it marks every configuration
+// that lies on a cycle (reaches itself in one step or more), closes the
+// marks backwards over predecessors, and returns the smallest marked ID
+// and the number marked.
+func smallestCycleReacher[S comparable](c *Checker[S], lam *IDSet, rules map[int]bool) (smallest, marked uint64) {
+	total := c.NumConfigs()
+	succ := make([][]uint64, total)
+	for id := uint64(0); id < total; id++ {
+		if lam.Contains(id) {
+			continue
+		}
+		c.Successors(c.Decode(id), rules, func(next statemodel.Config[S]) bool {
+			if nid := c.Encode(next); !lam.Contains(nid) {
+				succ[id] = append(succ[id], nid)
+			}
+			return true
+		})
+	}
+	reach := make([]bool, total)
+	for w := uint64(0); w < total; w++ {
+		seen := make([]bool, total)
+		queue := append([]uint64(nil), succ[w]...)
+		for len(queue) > 0 && !reach[w] {
+			u := queue[0]
+			queue = queue[1:]
+			if seen[u] {
+				continue
+			}
+			seen[u] = true
+			reach[w] = u == w
+			queue = append(queue, succ[u]...)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for u := uint64(0); u < total; u++ {
+			for _, v := range succ[u] {
+				if !reach[u] && reach[v] {
+					reach[u], changed = true, true
+				}
+			}
+		}
+	}
+	smallest = total
+	for u := total; u > 0; u-- {
+		if reach[u-1] {
+			smallest = u - 1
+			marked++
+		}
+	}
+	return smallest, marked
+}
+
+// TestEngineCycleWitness pins the cycle witness to the brute-force oracle
+// on spaces where configurations that can reach a cycle coexist with ones
+// that cannot: rep.Cycle must decode the smallest ID that can reach one.
+func TestEngineCycleWitness(t *testing.T) {
+	a := core.New(3, 4)
+	c := New[core.State](a, 0)
+	e, err := c.Compile(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lam := e.LegitSet(a.Legitimate)
+
+	// Λ' holds every third illegitimate configuration: the circulation in
+	// Λ survives as a cycle, and part of the space still drains into Λ'.
+	thirds := newIDSet(e.NumConfigs())
+	illegit := e.NumConfigs()
+	for id := uint64(0); id < e.NumConfigs(); id += 3 {
+		if !lam.Contains(id) {
+			thirds.set(id)
+			illegit--
+		}
+	}
+	want, marked := smallestCycleReacher(c, thirds, nil)
+	if marked == 0 || marked == illegit {
+		t.Fatalf("Λ' case: %d of %d configurations reach a cycle; want both kinds", marked, illegit)
+	}
+	rep, _ := e.CheckConvergence(thirds)
+	if rep.Converges || rep.Cycle == nil || !rep.Cycle.Equal(c.Decode(want)) {
+		t.Fatalf("Λ' case: converges %v, witness %v; want the smallest cycle-reaching ID %d = %v",
+			rep.Converges, rep.Cycle, want, c.Decode(want))
+	}
+
+	// Rules {1, 2, 3} over Λ = ∅: primary tokens circulate forever from
+	// some starts while others end without an enabled permitted move.
+	rules := map[int]bool{core.RuleReadySecondary: true, core.RuleSendPrimary: true, core.RuleRecvSecondary: true}
+	want, marked = smallestCycleReacher(c, newIDSet(e.NumConfigs()), rules)
+	if marked == 0 || marked == e.NumConfigs() {
+		t.Fatalf("{1,2,3} case: %d of %d configurations reach a cycle; want both kinds", marked, e.NumConfigs())
+	}
+	steps, start, ok := e.LongestRestricted(rules)
+	if ok || steps != 0 || start == nil || !start.Equal(c.Decode(want)) {
+		t.Fatalf("LongestRestricted{1,2,3} = (%d, %v, %v); want (0, %v, false)", steps, start, ok, c.Decode(want))
+	}
+}
+
 func TestEngineWorkerCounts(t *testing.T) {
 	// The analysis must be worker-count invariant.
 	a := core.New(3, 4)
@@ -141,8 +241,8 @@ func TestEngineWorkerCounts(t *testing.T) {
 
 // TestSSRminN5K6Engine is the headline new instance: the exhaustive
 // n=5, K=6 run (24⁵ ≈ 7.96M configurations) enabled by the compiled
-// engine. It takes on the order of a minute single-threaded, so it only
-// runs when SSRMIN_EXHAUSTIVE_N5 is set (make modelcheck-n5 / CI soak).
+// engine. It takes a few seconds and a few tens of MiB, but it only runs
+// when SSRMIN_EXHAUSTIVE_N5 is set (make modelcheck-n5 / CI soak).
 func TestSSRminN5K6Engine(t *testing.T) {
 	if os.Getenv("SSRMIN_EXHAUSTIVE_N5") == "" {
 		t.Skip("set SSRMIN_EXHAUSTIVE_N5=1 to run the 7.96M-configuration exhaustive check")

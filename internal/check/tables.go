@@ -11,15 +11,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"ssrmin/internal/statemodel"
 )
 
-// Engine is the table-compiled, ID-space sibling of Checker. All its scans
+// Engine is the table-compiled, ID-space sibling of Checker. All its passes
 // operate on dense uint64 configuration IDs (the same encoding as
-// Checker.Encode) and shard the ID space across a worker pool. Build one
-// with Checker.Compile.
+// Checker.Encode); the full-space scans shard the ID space across a worker
+// pool. Build one with Checker.Compile.
 type Engine[S comparable] struct {
 	c       *Checker[S]
 	q       int      // |Q|, number of local states
@@ -45,7 +44,9 @@ const maxSubsetMoves = 25
 
 // Compile builds the table-compiled engine for this checker's instance.
 // It fails unless the algorithm declares statemodel.PositionUniform. The
-// worker count applies to all parallel scans; ≤ 0 selects GOMAXPROCS.
+// worker count applies to the parallel scans, LegitSet and
+// CheckNoDeadlock; ≤ 0 selects GOMAXPROCS. CheckClosure and the
+// convergence analyses are sequential.
 func (c *Checker[S]) Compile(workers int) (*Engine[S], error) {
 	if _, ok := any(c.alg).(statemodel.PositionUniform); !ok {
 		return nil, fmt.Errorf("check: %s does not declare statemodel.PositionUniform; cannot compile transition tables", c.alg.Name())
@@ -130,16 +131,18 @@ func (e *Engine[S]) Tables() Tables {
 	return t
 }
 
-// Workers returns the configured worker-pool size.
+// Workers returns the worker-pool size of the parallel scans (LegitSet
+// and CheckNoDeadlock).
 func (e *Engine[S]) Workers() int { return e.workers }
 
 // digitsOf decomposes id into its base-q digits (the per-position state
-// indices), writing into buf (which must have length n).
+// indices), writing into buf (which must have length n). IDs fit in 32
+// bits (Compile enforces it), so the divisions are 32-bit ones.
 func (e *Engine[S]) digitsOf(id uint64, buf []int) {
-	q := uint64(e.q)
-	for i := 0; i < e.n; i++ {
-		buf[i] = int(id % q)
-		id /= q
+	q, x := uint32(e.q), uint32(id)
+	for i := range buf {
+		buf[i] = int(x % q)
+		x /= q
 	}
 }
 
@@ -171,22 +174,23 @@ type mover struct {
 // enabledMoves appends the moves of the configuration with the given
 // digits that are permitted by ruleMask, in increasing position order.
 func (e *Engine[S]) enabledMoves(digits []int, ruleMask uint32, buf []mover) []mover {
-	q, n := e.q, e.n
-	for i := 0; i < n; i++ {
-		sd := digits[i]
-		t := (digits[(i+n-1)%n]*q+sd)*q + digits[(i+1)%n]
-		class := 0
-		if i != 0 {
-			class = 1
+	q, n := e.q, len(digits)
+	pd, class := digits[n-1], 0 // position 0 is the bottom class
+	for i, sd := range digits {
+		ud := digits[0]
+		if i+1 < n {
+			ud = digits[i+1]
 		}
+		t := (pd*q+sd)*q + ud
+		pd = sd
 		r := e.rule[class][t]
-		if r == 0 || ruleMask&(1<<uint(r)) == 0 {
-			continue
+		if r != 0 && ruleMask&(1<<uint(r)) != 0 {
+			buf = append(buf, mover{
+				delta: (int64(e.next[class][t]) - int64(sd)) * int64(e.pow[i]),
+				rule:  r,
+			})
 		}
-		buf = append(buf, mover{
-			delta: (int64(e.next[class][t]) - int64(sd)) * int64(e.pow[i]),
-			rule:  r,
-		})
+		class = 1
 	}
 	return buf
 }
@@ -198,7 +202,7 @@ func (e *Engine[S]) enabledMoves(digits []int, ruleMask uint32, buf []mover) []m
 // distinct IDs whenever no delta is zero — the common case, needing no
 // dedup; a zero delta (a rule mapping a state to itself) falls back to a
 // linear dedup, preserving the legacy Successors/expand semantics exactly.
-func distinctSuccessors(id uint64, movers []mover, buf []uint64, sums []int64) ([]uint64, []int64) {
+func distinctSuccessors(id uint64, movers []mover, buf []uint32, sums []int64) ([]uint32, []int64) {
 	e := len(movers)
 	if e == 0 {
 		return buf, sums
@@ -221,7 +225,7 @@ func distinctSuccessors(id uint64, movers []mover, buf []uint64, sums []int64) (
 		lb := mask & -mask
 		d := sums[mask^lb] + movers[bits.TrailingZeros32(uint32(mask))].delta
 		sums[mask] = d
-		nid := uint64(int64(id) + d)
+		nid := uint32(int64(id) + d)
 		if anyZero {
 			dup := false
 			for _, x := range buf[base:] {
@@ -240,7 +244,7 @@ func distinctSuccessors(id uint64, movers []mover, buf []uint64, sums []int64) (
 }
 
 // IDSet is a dense bitmap over the configuration ID space — the engine's
-// representation of Λ and of other per-configuration flags.
+// representation of Λ.
 type IDSet struct {
 	words []uint64
 	count uint64
@@ -259,18 +263,6 @@ func (s *IDSet) Contains(id uint64) bool {
 // engine's range shards are 64-aligned, so chunk owners never share one).
 func (s *IDSet) set(id uint64) {
 	s.words[id>>6] |= 1 << (id & 63)
-}
-
-// setAtomic marks id with an atomic OR, for writers racing on a word.
-func (s *IDSet) setAtomic(id uint64) {
-	addr := &s.words[id>>6]
-	bit := uint64(1) << (id & 63)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&bit != 0 || atomic.CompareAndSwapUint64(addr, old, old|bit) {
-			return
-		}
-	}
 }
 
 // Count returns the number of members.
