@@ -21,12 +21,13 @@ test-race:
 
 # Race-check the concurrency-heavy packages (the parallel ID-space engine,
 # the sweep driver, the observer fed by concurrent engine worker loops,
-# the discrete-event network, and the sharded live engine with its SPSC
-# rings and paced Start/Stop) without paying for the whole suite under
-# -race.
+# the discrete-event network, the sharded live engine with its SPSC
+# rings and paced Start/Stop, and the TCP ring, whose reader and
+# announcer goroutines share each node's CST core) without paying for
+# the whole suite under -race.
 test-race-core:
 	$(GO) test -race ./internal/check ./internal/parsweep ./internal/obs \
-	  ./internal/msgnet ./internal/runtime
+	  ./internal/msgnet ./internal/runtime ./internal/netring
 
 test-short:
 	$(GO) test -short ./...

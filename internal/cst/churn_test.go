@@ -107,7 +107,7 @@ func TestSpliceRemovesArcAndDiscardsStaleFrames(t *testing.T) {
 	if got := r.Members(); !reflect.DeepEqual(got, []int{0, 3, 4, 5}) {
 		t.Fatalf("Members after splice = %v", got)
 	}
-	if r.Nodes[0].succ() != 3 || r.Nodes[3].pred() != 0 {
+	if r.Nodes[0].succ != 3 || r.Nodes[3].pred != 0 {
 		t.Fatal("splice did not reconnect 0—3")
 	}
 	r.Net.Run(8)

@@ -27,24 +27,15 @@ import (
 	"ssrmin/internal/statemodel"
 )
 
-// Node is the CST wrapper of one process: an msgnet.Handler executing the
-// wrapped algorithm against cached neighbor states.
+// Node is the CST wrapper of one process: an msgnet.Handler that runs
+// the shared Core against msgnet deliveries and adds what only this
+// transport has — the refresh timer, the Hold dwell and the counters.
 type Node[S comparable] struct {
-	alg statemodel.Algorithm[S]
-	id  int
-	n   int
-	// predID and succID are the ring neighbor ids, precomputed so the
-	// per-message path (neighbor check, cache refresh, announce) never
-	// pays the modulo.
-	predID int
-	succID int
-	state  S
-	// cachePred and cacheSucc are the cache Z_i: one slot per ring
-	// neighbor, held as plain fields (a ring node has exactly two
-	// neighbors) so the hot receive/execute path touches no map.
-	cachePred S
-	cacheSucc S
-	refresh   msgnet.Time
+	Core[S]
+	alg     statemodel.Algorithm[S]
+	id      int
+	n       int
+	refresh msgnet.Time
 
 	// Hold is the critical-section dwell time: how long the node sits on
 	// an enabled rule before executing it, modelling the application work
@@ -69,8 +60,8 @@ const (
 	timerExecute = 2
 )
 
-// NewNode creates a CST node for process id of alg. Seed the caches with
-// SetCache before the simulation starts (NewRing does this for whole
+// NewNode creates a CST node for process id of alg. Both caches start as
+// copies of init until SetCache seeds them (NewRing does this for whole
 // rings).
 func NewNode[S comparable](alg statemodel.Algorithm[S], id int, init S, refresh msgnet.Time) *Node[S] {
 	if refresh <= 0 {
@@ -78,28 +69,12 @@ func NewNode[S comparable](alg statemodel.Algorithm[S], id int, init S, refresh 
 	}
 	n := alg.N()
 	return &Node[S]{
+		Core:    NewCore(id, n, init),
 		alg:     alg,
 		id:      id,
 		n:       n,
-		predID:  (id - 1 + n) % n,
-		succID:  (id + 1) % n,
-		state:   init,
 		refresh: refresh,
 	}
-}
-
-// pred and succ return the ring neighbor ids.
-func (nd *Node[S]) pred() int { return nd.predID }
-func (nd *Node[S]) succ() int { return nd.succID }
-
-// SetNeighbors rewires the node's ring neighbors (churn). The cache slots
-// keep their previous contents: the node has not yet heard from its new
-// neighbor, so its view of that side is arbitrary until the next
-// announcement arrives — the Theorem 4 incoherence that the refresh timer
-// heals, and the reason churn opens a settle window in the monitors.
-func (nd *Node[S]) SetNeighbors(pred, succ int) {
-	nd.predID = pred
-	nd.succID = succ
 }
 
 // Detach removes the node from the ring (a leave, or a not-yet-joined
@@ -107,32 +82,17 @@ func (nd *Node[S]) SetNeighbors(pred, succ int) {
 // nobody; Start on a detached node is a no-op, so dormant spares consume
 // no events and draw nothing from the RNG until they join.
 func (nd *Node[S]) Detach() {
-	nd.predID = -1
-	nd.succID = -1
+	nd.Core.Detach()
 	nd.holdPending = false
 }
-
-// Detached reports whether the node is outside the ring.
-func (nd *Node[S]) Detached() bool { return nd.predID < 0 }
-
-// Neighbors returns the node's current ring neighbor ids (-1, -1 when
-// detached) — what fault injection must target instead of the founding
-// (i±1) mod n once churn has rewired the ring.
-func (nd *Node[S]) Neighbors() (pred, succ int) { return nd.predID, nd.succID }
-
-// State returns the node's current local state q_i.
-func (nd *Node[S]) State() S { return nd.state }
-
-// SetState overwrites the local state (fault injection).
-func (nd *Node[S]) SetState(s S) { nd.state = s }
 
 // Cache returns the cached state of neighbor k (the zero state when k is
 // not a ring neighbor, mirroring an absent map entry).
 func (nd *Node[S]) Cache(k int) S {
 	switch k {
-	case nd.pred():
+	case int(nd.pred):
 		return nd.cachePred
-	case nd.succ():
+	case int(nd.succ):
 		return nd.cacheSucc
 	}
 	var zero S
@@ -140,37 +100,22 @@ func (nd *Node[S]) Cache(k int) S {
 }
 
 // SetCache overwrites a cache entry (initialization or fault injection).
-// k must be a ring neighbor of the node.
+// k must be a ring neighbor of the node; on two-node rings, where
+// pred == succ, both slots take s.
 func (nd *Node[S]) SetCache(k int, s S) {
-	// On two-node rings pred == succ; keep both slots in step, as the
-	// single map entry did.
-	ok := false
-	if k == nd.pred() {
-		nd.cachePred = s
-		ok = true
-	}
-	if k == nd.succ() {
-		nd.cacheSucc = s
-		ok = true
-	}
-	if !ok {
+	if !nd.Deliver(k, s) {
 		panic(fmt.Sprintf("cst: node %d has no neighbor %d", nd.id, k))
 	}
 }
 
 // View builds the node's current view of the ring: its own state plus the
-// cached neighbor states. All guard evaluation and all token predicates of
-// the message-passing model go through this view.
+// cached neighbor states. It builds the view itself rather than calling
+// Core.View, so Ring.Census stays within the compiler's inlining budget
+// and a constant holder such as core.HasToken is inlined into its loop.
 //
 //allocgate:hot
 func (nd *Node[S]) View() statemodel.View[S] {
-	return statemodel.View[S]{
-		I:    nd.id,
-		N:    nd.n,
-		Self: nd.state,
-		Pred: nd.cachePred,
-		Succ: nd.cacheSucc,
-	}
+	return statemodel.View[S]{I: nd.id, N: nd.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
 }
 
 // Start implements msgnet.Handler: announce the initial state and arm the
@@ -188,14 +133,10 @@ func (nd *Node[S]) Start(ctx *msgnet.Context[S]) {
 
 // Receive implements msgnet.Handler: Algorithm 4's message action. The
 // payload arrives as a concrete S — the network's frame type — so no
-// type assertion or unboxing happens per message.
-//
-// A frame from a node that is not (any longer) a ring neighbor is
-// discarded: after a splice, frames that were already on a removed link
-// still arrive, and the receiver must treat them as stale rather than
-// poison a cache slot that now describes a different neighbor.
+// type assertion or unboxing happens per message. A frame the core
+// rejects as stale (see Core.Deliver) is counted and dropped.
 func (nd *Node[S]) Receive(ctx *msgnet.Context[S], from int, s S) {
-	if nd.Detached() || !nd.setCacheFast(from, s) {
+	if !nd.Deliver(from, s) {
 		nd.StaleFrames++
 		return
 	}
@@ -237,17 +178,13 @@ func (nd *Node[S]) executeOne(ctx *msgnet.Context[S]) {
 	}
 }
 
-// executeNow evaluates and applies the enabled rule, if any, against the
-// current cached view.
-//
-//rulecheck:step
+// executeNow fires the core against the current cached view and records
+// the execution.
 func (nd *Node[S]) executeNow(ctx *msgnet.Context[S]) {
-	v := nd.View()
-	rule := nd.alg.EnabledRule(v)
+	rule := nd.Fire(nd.alg, nd.id, nd.n)
 	if rule == 0 {
 		return
 	}
-	nd.state = nd.alg.Apply(v, rule)
 	nd.RuleExecutions++
 	if nd.OnExecute != nil {
 		nd.OnExecute(ctx.Now(), rule)
@@ -257,8 +194,8 @@ func (nd *Node[S]) executeNow(ctx *msgnet.Context[S]) {
 // announce sends the current state to both neighbors (busy links swallow
 // the send, per the one-message-per-direction link model).
 func (nd *Node[S]) announce(ctx *msgnet.Context[S]) {
-	ctx.Send(nd.pred(), nd.state)
-	ctx.Send(nd.succ(), nd.state)
+	ctx.Send(int(nd.pred), nd.state)
+	ctx.Send(int(nd.succ), nd.state)
 }
 
 // Ring wires n CST nodes into a bidirectional ring over an msgnet
@@ -273,8 +210,7 @@ type Ring[S comparable] struct {
 
 	// link is the parameter set applied to links created by churn ops.
 	link msgnet.LinkParams
-	// active[i] reports ring membership; members counts the true ones.
-	active  []bool
+	// members counts the attached nodes.
 	members int
 	// spareNext is the id of the next dormant spare a Join will wake.
 	spareNext int
@@ -351,11 +287,9 @@ func NewRing[S comparable](alg statemodel.Algorithm[S], init statemodel.Config[S
 		net.AddLink(j, i, opts.Link)
 	}
 	seedRNG := rand.New(rand.NewSource(opts.Seed + 1))
-	active := make([]bool, total)
 	for i := 0; i < n; i++ {
 		nd := nodes[i]
-		active[i] = true
-		p, s := (i-1+n)%n, (i+1)%n
+		p, s := nd.Neighbors()
 		if opts.CoherentCaches {
 			nd.SetCache(p, init[p])
 			nd.SetCache(s, init[s])
@@ -368,14 +302,13 @@ func NewRing[S comparable](alg statemodel.Algorithm[S], init statemodel.Config[S
 		Net:       net,
 		Nodes:     nodes,
 		link:      opts.Link,
-		active:    active,
 		members:   n,
 		spareNext: n,
 	}
 }
 
 // Active reports whether node i is currently a ring member.
-func (r *Ring[S]) Active(i int) bool { return r.active[i] }
+func (r *Ring[S]) Active(i int) bool { return !r.Nodes[i].Detached() }
 
 // MemberCount returns the current ring size.
 func (r *Ring[S]) MemberCount() int { return r.members }
@@ -388,7 +321,7 @@ func (r *Ring[S]) Members() []int {
 	i := 0
 	for {
 		out = append(out, i)
-		i = r.Nodes[i].succID
+		_, i = r.Nodes[i].Neighbors()
 		if i == 0 {
 			break
 		}
@@ -406,7 +339,7 @@ func (r *Ring[S]) Members() []int {
 // random phase — the message-passing analogue of a node powering on
 // inside an already running ring.
 func (r *Ring[S]) Join(after int, state S) int {
-	if !r.active[after] {
+	if !r.Active(after) {
 		panic(fmt.Sprintf("cst: join anchor %d is not a ring member", after))
 	}
 	if r.spareNext >= len(r.Nodes) {
@@ -414,7 +347,7 @@ func (r *Ring[S]) Join(after int, state S) int {
 	}
 	j := r.spareNext
 	r.spareNext++
-	a, b := after, r.Nodes[after].succID
+	a, b := after, int(r.Nodes[after].succ)
 	net := r.Net
 	// The a—b edge is replaced by a—j—b. Frames already in transit on the
 	// removed links still arrive and are discarded as stale.
@@ -426,14 +359,11 @@ func (r *Ring[S]) Join(after int, state S) int {
 	net.AddLink(b, j, r.link)
 	jn := r.Nodes[j]
 	jn.state = state
-	jn.SetNeighbors(a, b)
 	// The joiner has not heard from either neighbor: seed its caches with
 	// its own state (arbitrary incoherence, healed by the announcements).
-	jn.cachePred = state
-	jn.cacheSucc = state
-	r.Nodes[a].succID = j
-	r.Nodes[b].predID = j
-	r.active[j] = true
+	jn.SetCaches(state, state)
+	r.wire(a, j)
+	r.wire(j, b)
 	r.members++
 	net.SendFrom(j, a, state)
 	net.SendFrom(j, b, state)
@@ -449,14 +379,14 @@ func (r *Ring[S]) Leave(v int) {
 	if v == 0 {
 		panic("cst: node 0 (bottom) cannot leave the ring")
 	}
-	if !r.active[v] {
+	if !r.Active(v) {
 		panic(fmt.Sprintf("cst: leave of non-member %d", v))
 	}
 	if r.members-1 < 3 {
 		panic("cst: leave would shrink the ring below 3 members")
 	}
 	nd := r.Nodes[v]
-	a, b := nd.predID, nd.succID
+	a, b := nd.Neighbors()
 	net := r.Net
 	net.RemoveLink(v, a)
 	net.RemoveLink(a, v)
@@ -464,10 +394,8 @@ func (r *Ring[S]) Leave(v int) {
 	net.RemoveLink(b, v)
 	net.AddLink(a, b, r.link)
 	net.AddLink(b, a, r.link)
-	r.Nodes[a].succID = b
-	r.Nodes[b].predID = a
+	r.wire(a, b)
 	nd.Detach()
-	r.active[v] = false
 	r.members--
 }
 
@@ -477,7 +405,7 @@ func (r *Ring[S]) Leave(v int) {
 // property is really about. The arc may not contain node 0 or wrap the
 // whole ring.
 func (r *Ring[S]) Splice(after, count int) {
-	if !r.active[after] {
+	if !r.Active(after) {
 		panic(fmt.Sprintf("cst: splice anchor %d is not a ring member", after))
 	}
 	if count < 1 {
@@ -488,30 +416,35 @@ func (r *Ring[S]) Splice(after, count int) {
 	}
 	//lint:ignore hotpath churn orchestration, cold path
 	victims := make([]int, 0, count)
-	v := r.Nodes[after].succID
+	_, v := r.Nodes[after].Neighbors()
 	for i := 0; i < count; i++ {
 		if v == 0 {
 			panic("cst: splice arc contains node 0 (bottom)")
 		}
 		victims = append(victims, v)
-		v = r.Nodes[v].succID
+		_, v = r.Nodes[v].Neighbors()
 	}
 	b := v
 	net := r.Net
 	for _, x := range victims {
 		nd := r.Nodes[x]
-		net.RemoveLink(x, nd.predID)
-		net.RemoveLink(nd.predID, x)
-		net.RemoveLink(x, nd.succID)
-		net.RemoveLink(nd.succID, x)
+		p, s := nd.Neighbors()
+		net.RemoveLink(x, p)
+		net.RemoveLink(p, x)
+		net.RemoveLink(x, s)
+		net.RemoveLink(s, x)
 		nd.Detach()
-		r.active[x] = false
 		r.members--
 	}
 	net.AddLink(after, b, r.link)
 	net.AddLink(b, after, r.link)
-	r.Nodes[after].succID = b
-	r.Nodes[b].predID = after
+	r.wire(after, b)
+}
+
+// wire makes b the successor of a and a the predecessor of b.
+func (r *Ring[S]) wire(a, b int) {
+	r.Nodes[a].SetSucc(b)
+	r.Nodes[b].SetPred(a)
 }
 
 func drawState[S comparable](rng *rand.Rand, opts Options[S], fallback S) S {
@@ -526,11 +459,10 @@ func drawState[S comparable](rng *rand.Rand, opts Options[S], fallback S) S {
 // is the quantity Theorem 3 bounds.
 func (r *Ring[S]) Census(holder func(statemodel.View[S]) bool) int {
 	count := 0
-	for i, nd := range r.Nodes {
-		if !r.active[i] {
-			continue
-		}
-		if holder(nd.View()) {
+	for _, nd := range r.Nodes {
+		// nd.pred >= 0 is !nd.Detached(), spelled out to keep this loop
+		// inlinable (see Node.View).
+		if nd.pred >= 0 && holder(nd.View()) {
 			count++
 		}
 	}
@@ -543,10 +475,7 @@ func (r *Ring[S]) Census(holder func(statemodel.View[S]) bool) int {
 func (r *Ring[S]) Holders(holder func(statemodel.View[S]) bool) []int {
 	var out []int
 	for i, nd := range r.Nodes {
-		if !r.active[i] {
-			continue
-		}
-		if holder(nd.View()) {
+		if nd.pred >= 0 && holder(nd.View()) { // inlinable, as in Census
 			out = append(out, i)
 		}
 	}
@@ -567,11 +496,11 @@ func (r *Ring[S]) States() statemodel.Config[S] {
 // neighbor's state (Definition 2). Neighbors come from the live
 // successor/predecessor pointers, so the check follows churn rewiring.
 func (r *Ring[S]) Coherent() bool {
-	for i, nd := range r.Nodes {
-		if !r.active[i] {
+	for _, nd := range r.Nodes {
+		if nd.Detached() {
 			continue
 		}
-		p, s := nd.predID, nd.succID
+		p, s := nd.Neighbors()
 		if nd.Cache(p) != r.Nodes[p].State() || nd.Cache(s) != r.Nodes[s].State() {
 			return false
 		}
@@ -586,23 +515,4 @@ func (r *Ring[S]) RuleExecutions() int {
 		total += nd.RuleExecutions
 	}
 	return total
-}
-
-// setCacheFast refreshes the cache slot(s) for from on the message hot
-// path (two comparisons, no map) and reports whether from is a ring
-// neighbor — the receive path's validity check, folded in so each
-// message pays for the comparisons once.
-//
-//allocgate:hot
-func (nd *Node[S]) setCacheFast(from int, s S) bool {
-	ok := false
-	if from == nd.predID {
-		nd.cachePred = s
-		ok = true
-	}
-	if from == nd.succID {
-		nd.cacheSucc = s
-		ok = true
-	}
-	return ok
 }

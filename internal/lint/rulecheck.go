@@ -57,7 +57,6 @@ var RuleCheck = &Analyzer{
 		"ssrmin/internal/dijkstra",
 		"ssrmin/internal/core",
 		"ssrmin/internal/cst",
-		"ssrmin/internal/runtime",
 	},
 	Run: runRuleCheck,
 }

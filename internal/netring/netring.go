@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"ssrmin/internal/core"
+	"ssrmin/internal/cst"
 	"ssrmin/internal/statemodel"
 )
 
@@ -68,11 +69,12 @@ type Node struct {
 	cfg Config
 	alg *core.Algorithm
 
-	mu        sync.Mutex
-	state     core.State
-	cachePred core.State
-	cacheSucc core.State
-	execs     int
+	// mu guards the CST core (state, caches, neighbors) and execs: the
+	// per-connection readers deliver into it while the announcer reads
+	// the state.
+	mu    sync.Mutex
+	core  cst.Core[core.State]
+	execs int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -97,6 +99,13 @@ func NewNode(cfg Config, init core.State) (*Node, error) {
 	if cfg.N < 3 || cfg.K <= cfg.N {
 		return nil, fmt.Errorf("netring: bad ring parameters n=%d K=%d", cfg.N, cfg.K)
 	}
+	if cfg.ID < 0 || cfg.ID >= cfg.N {
+		return nil, fmt.Errorf("netring: node id %d outside [0, %d)", cfg.ID, cfg.N)
+	}
+	if cfg.Refresh < 0 || cfg.DialTimeout < 0 || cfg.MinInterval < 0 {
+		return nil, fmt.Errorf("netring: node %d: negative Refresh %v, DialTimeout %v or MinInterval %v",
+			cfg.ID, cfg.Refresh, cfg.DialTimeout, cfg.MinInterval)
+	}
 	if cfg.Refresh == 0 {
 		cfg.Refresh = 50 * time.Millisecond
 	}
@@ -107,12 +116,10 @@ func NewNode(cfg Config, init core.State) (*Node, error) {
 		cfg.MinInterval = time.Millisecond
 	}
 	n := &Node{
-		cfg:       cfg,
-		alg:       core.New(cfg.N, cfg.K),
-		state:     init,
-		cachePred: init,
-		cacheSucc: init,
-		dirty:     make(chan struct{}, 1),
+		cfg:   cfg,
+		alg:   core.New(cfg.N, cfg.K),
+		core:  cst.NewCore(cfg.ID, cfg.N, init),
+		dirty: make(chan struct{}, 1),
 	}
 	return n, nil
 }
@@ -144,20 +151,17 @@ func (n *Node) Stop() {
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.cfg.Listener.Addr().String() }
 
-func (n *Node) pred() int { return (n.cfg.ID - 1 + n.cfg.N) % n.cfg.N }
-func (n *Node) succ() int { return (n.cfg.ID + 1) % n.cfg.N }
-
 // Snapshot returns the node's state and caches.
 func (n *Node) Snapshot() (self, cachePred, cacheSucc core.State) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.state, n.cachePred, n.cacheSucc
+	v := n.View()
+	return v.Self, v.Pred, v.Succ
 }
 
 // View builds the node's current view.
 func (n *Node) View() statemodel.View[core.State] {
-	self, p, s := n.Snapshot()
-	return statemodel.View[core.State]{I: n.cfg.ID, N: n.cfg.N, Self: self, Pred: p, Succ: s}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.core.View(n.cfg.ID, n.cfg.N)
 }
 
 // Privileged reports whether the node currently holds a token.
@@ -173,7 +177,7 @@ func (n *Node) RuleExecutions() int {
 // Inject overwrites the local state — a live transient fault.
 func (n *Node) Inject(s core.State) {
 	n.mu.Lock()
-	n.state = s
+	n.core.SetState(s)
 	n.mu.Unlock()
 	n.signal()
 }
@@ -219,29 +223,22 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 }
 
-// receive applies Algorithm 4's message action.
+// receive applies Algorithm 4's message action through the shared CST
+// core. Out-of-domain payloads and frames from non-neighbors are dropped.
 func (n *Node) receive(a Announcement) {
 	s := core.State{X: a.X, RTS: a.RTS, TRA: a.TRA}
 	if s.X < 0 || s.X >= n.cfg.K {
-		return // out-of-domain payload: drop
-	}
-	n.mu.Lock()
-	switch a.From {
-	case n.pred():
-		n.cachePred = s
-	case n.succ():
-		n.cacheSucc = s
-	default:
-		n.mu.Unlock()
 		return
 	}
-	v := statemodel.View[core.State]{I: n.cfg.ID, N: n.cfg.N, Self: n.state, Pred: n.cachePred, Succ: n.cacheSucc}
-	if rule := n.alg.EnabledRule(v); rule != 0 {
-		n.state = n.alg.Apply(v, rule)
+	n.mu.Lock()
+	ok := n.core.Deliver(a.From, s)
+	if ok && n.core.Fire(n.alg, n.cfg.ID, n.cfg.N) != 0 {
 		n.execs++
 	}
 	n.mu.Unlock()
-	n.signal()
+	if ok {
+		n.signal()
+	}
 }
 
 // announceLoop is the single writer: it pushes the latest state to both
@@ -276,8 +273,9 @@ func (n *Node) announceLoop() {
 // ticker retries. Only the announcer goroutine calls it.
 func (n *Node) announceNow() {
 	n.mu.Lock()
-	a := Announcement{From: n.cfg.ID, X: n.state.X, RTS: n.state.RTS, TRA: n.state.TRA}
+	s := n.core.State()
 	n.mu.Unlock()
+	a := Announcement{From: n.cfg.ID, X: s.X, RTS: s.RTS, TRA: s.TRA}
 	payload, err := json.Marshal(a)
 	if err != nil {
 		return

@@ -33,8 +33,24 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 	l, _ := net.Listen("tcp", "127.0.0.1:0")
 	defer l.Close()
-	if _, err := NewNode(Config{ID: 0, N: 2, K: 6, Listener: l}, core.State{}); err == nil {
-		t.Error("n=2 accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"n=2", Config{ID: 0, N: 2, K: 6}},
+		{"id=n", Config{ID: 5, N: 5, K: 6}},
+		{"negative id", Config{ID: -1, N: 5, K: 6}},
+		{"negative refresh", Config{ID: 0, N: 5, K: 6, Refresh: -time.Second}},
+		{"negative dial timeout", Config{ID: 0, N: 5, K: 6, DialTimeout: -time.Second}},
+		{"negative min interval", Config{ID: 0, N: 5, K: 6, MinInterval: -time.Millisecond}},
+	} {
+		tc.cfg.Listener = l
+		if _, err := NewNode(tc.cfg, core.State{}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	if _, err := NewNode(Config{ID: 4, N: 5, K: 6, Listener: l}, core.State{}); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 

@@ -40,20 +40,20 @@ import (
 	"sync"
 	"time"
 
+	"ssrmin/internal/cst"
 	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
 )
 
-// engNode is one simulated node: its state, neighbor caches, and the
-// word-sized PRNG and counters the determinism scheme needs. All fields
-// are owned by the node's shard; nothing here is shared.
+// engNode is one simulated node: the shared CST core (state, neighbor
+// caches, ring neighbors and membership) plus the word-sized PRNG and
+// counters the determinism scheme needs. All fields are owned by the
+// node's shard; nothing here is shared.
 type engNode[S comparable] struct {
-	state     S
-	cachePred S
-	cacheSucc S
-	rng       prng
-	seq       uint32 // monotonic action counter: event keys and tap ords
-	wasPriv   bool
+	cst.Core[S]
+	rng     prng
+	seq     uint32 // monotonic action counter: event keys and tap ords
+	wasPriv bool
 	// censusPriv mirrors the installed privilege predicate for the
 	// shard-local census accumulators. It is deliberately separate from
 	// wasPriv: wasPriv starts false so the first observer Handover edge
@@ -131,15 +131,12 @@ type Engine[S comparable] struct {
 	shardOf []int32
 	w       int
 
-	// Live ring topology. predOf/succOf replace the founding-ring modulo
-	// so churn can rewire mid-run; active marks membership (spares and
-	// leavers are false); members counts the true entries.
-	predOf, succOf []int32
-	active         []bool
-	members        int
-	spareNext      int
-	churn          []churnOp[S]
-	churnIdx       int
+	// Ring topology beyond what each node's core records: members counts
+	// the attached nodes, spareNext is the next dormant spare to join.
+	members   int
+	spareNext int
+	churn     []churnOp[S]
+	churnIdx  int
 
 	refQ    *refQueue[S]
 	pending []eventRec[S] // initial announces, timers and scheduled injects
@@ -201,9 +198,6 @@ func NewEngine[S comparable](alg statemodel.Algorithm[S], init statemodel.Config
 	e.nodes = make([]engNode[S], total)
 	e.links = make([]engLink, 2*total)
 	e.shardOf = make([]int32, total)
-	e.predOf = make([]int32, total)
-	e.succOf = make([]int32, total)
-	e.active = make([]bool, total)
 
 	seedRNG := rand.New(rand.NewSource(opts.Seed))
 	var mix prng = prng(uint64(opts.Seed)*0x9E3779B97F4A7C15 + 0x6A09E667F3BCC909)
@@ -212,19 +206,14 @@ func NewEngine[S comparable](alg statemodel.Algorithm[S], init statemodel.Config
 		nd.rng = prng(mix.next())
 		if i >= n {
 			// Dormant spare: detached, silent until a ScheduleJoin wakes it.
-			e.predOf[i], e.succOf[i] = -1, -1
+			nd.Detach()
 			continue
 		}
-		pred, succ := (i-1+n)%n, (i+1)%n
-		e.predOf[i], e.succOf[i] = int32(pred), int32(succ)
-		e.active[i] = true
-		nd.state = init[i]
-		if opts.CoherentCaches {
-			nd.cachePred, nd.cacheSucc = init[pred], init[succ]
+		nd.Core = cst.NewCore(i, n, init[i]) // self-seeded caches
+		if pred, succ := nd.Neighbors(); opts.CoherentCaches {
+			nd.SetCaches(init[pred], init[succ])
 		} else if opts.RandomState != nil {
-			nd.cachePred, nd.cacheSucc = opts.RandomState(seedRNG), opts.RandomState(seedRNG)
-		} else {
-			nd.cachePred, nd.cacheSucc = init[i], init[i]
+			nd.SetCaches(opts.RandomState(seedRNG), opts.RandomState(seedRNG))
 		}
 	}
 	for i := range e.links {
@@ -443,12 +432,8 @@ func (e *Engine[S]) freeze() {
 		// Seed the shard-local census accumulators from the initial
 		// views; notifyPriv keeps them current from here on.
 		for i := range e.nodes {
-			if !e.active[i] {
-				continue
-			}
 			nd := &e.nodes[i]
-			v := statemodel.View[S]{I: i, N: e.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
-			if e.holder(v) {
+			if !nd.Detached() && e.holder(nd.View(i, e.n)) {
 				nd.censusPriv = true
 				e.shards[e.shardOf[i]].priv++
 			}
@@ -595,43 +580,28 @@ func (e *Engine[S]) stopWorkers() {
 func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 	sh.events++
 	nd := &e.nodes[rec.node]
-	if !e.active[rec.node] {
-		// The destination left the ring (or never joined): in-flight
-		// frames die on arrival and lapsed nodes let their timer chains
-		// end. Mirrors the msgnet tier's detached-node discard.
-		if rec.kind == evFromPred || rec.kind == evFromSucc {
+	if rec.kind == evDeliver {
+		// key2's high word is the sender. The core rejects a frame to a
+		// node that left the ring (or never joined) and one from an
+		// ex-neighbor, already on the medium when churn rewired the ring,
+		// as the msgnet tier's Receive does.
+		from := int32(rec.key2 >> 32)
+		if !nd.Deliver(int(from), rec.payload) {
 			sh.dropped++
+			return
 		}
+		sh.carried++
+		e.tap(sh, nd, rec.at, rec.node, TapDeliver, from, 0)
+		if o := e.obsv; o != nil {
+			o.MsgRecv(rec.at, int(rec.node), int(from))
+		}
+		e.step(sh, rec.at, rec.node)
 		return
 	}
+	if nd.Detached() {
+		return // a lapsed node lets its timer chain end
+	}
 	switch rec.kind {
-	case evFromPred:
-		// key2's high word is the sender. A frame from an ex-neighbor was
-		// already on the medium when churn rewired the ring: discard it
-		// rather than poison a cache slot describing a different node.
-		if from := int32(rec.key2 >> 32); from != e.predOf[rec.node] {
-			sh.dropped++
-			return
-		}
-		nd.cachePred = rec.payload
-		sh.carried++
-		e.tap(sh, nd, rec.at, rec.node, TapDeliver, e.pred(rec.node), 0)
-		if o := e.obsv; o != nil {
-			o.MsgRecv(rec.at, int(rec.node), int(e.pred(rec.node)))
-		}
-		e.step(sh, rec.at, rec.node)
-	case evFromSucc:
-		if from := int32(rec.key2 >> 32); from != e.succOf[rec.node] {
-			sh.dropped++
-			return
-		}
-		nd.cacheSucc = rec.payload
-		sh.carried++
-		e.tap(sh, nd, rec.at, rec.node, TapDeliver, e.succ(rec.node), 0)
-		if o := e.obsv; o != nil {
-			o.MsgRecv(rec.at, int(rec.node), int(e.succ(rec.node)))
-		}
-		e.step(sh, rec.at, rec.node)
 	case evInit:
 		e.announce(sh, rec.at, rec.node)
 	case evTimer:
@@ -643,24 +613,21 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 		nd.seq++
 		e.emitLocal(sh, next)
 	case evInject:
-		nd.state = rec.payload
+		nd.SetState(rec.payload)
 		e.tap(sh, nd, rec.at, rec.node, TapInject, -1, 0)
 		e.notifyPriv(sh, rec.at, rec.node)
 		e.announce(sh, rec.at, rec.node)
 	}
 }
 
-// step executes at most one rule, re-evaluates the privilege and
-// announces — Algorithm 4's reaction to a delivered frame.
+// step fires the node's core, re-evaluates the privilege and announces —
+// Algorithm 4's reaction to a delivered frame.
 //
-//rulecheck:step
 //shardsafety:worker owns=node
 //allocgate:hot
 func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 	nd := &e.nodes[node]
-	v := statemodel.View[S]{I: int(node), N: e.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
-	if rule := e.alg.EnabledRule(v); rule != 0 {
-		nd.state = e.alg.Apply(v, rule)
+	if rule := nd.Fire(e.alg, int(node), e.n); rule != 0 {
 		sh.rules++
 		e.tap(sh, nd, at, node, TapRule, -1, int32(rule))
 		if o := e.obsv; o != nil {
@@ -688,12 +655,10 @@ func (e *Engine[S]) announce(sh *engShard[S], at float64, node int32) {
 //allocgate:hot
 func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 	nd := &e.nodes[node]
-	var lidx, peer int32
-	var kind uint8
+	pred, succ := nd.Neighbors()
+	lidx, peer := 2*node+1, int32(pred)
 	if toSucc {
-		lidx, peer, kind = 2*node, e.succ(node), evFromPred
-	} else {
-		lidx, peer, kind = 2*node+1, e.pred(node), evFromSucc
+		lidx, peer = 2*node, int32(succ)
 	}
 	lk := &e.links[lidx]
 	if at < lk.busyUntil {
@@ -722,7 +687,7 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 	if o := e.obsv; o != nil {
 		o.MsgSent(at, int(node), int(peer))
 	}
-	rec := eventRec[S]{at: at + d, key2: key2(node, nd.seq), node: peer, kind: kind, payload: nd.state}
+	rec := eventRec[S]{at: at + d, key2: key2(node, nd.seq), node: peer, kind: evDeliver, payload: nd.State()}
 	nd.seq++
 	e.emit(sh, rec, toSucc)
 }
@@ -787,8 +752,7 @@ func (e *Engine[S]) notifyPriv(sh *engShard[S], at float64, node int32) {
 		return
 	}
 	nd := &e.nodes[node]
-	v := statemodel.View[S]{I: int(node), N: e.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
-	holds := e.holder(v)
+	holds := e.holder(nd.View(int(node), e.n))
 	if e.onPriv != nil {
 		e.onPriv(int(node), holds)
 	}
@@ -805,17 +769,6 @@ func (e *Engine[S]) notifyPriv(sh *engShard[S], at float64, node int32) {
 		nd.censusPriv = holds
 	}
 }
-
-// pred and succ map a node to its ring neighbors — foreign indices from
-// a worker's point of view, usable only as message destinations. The
-// lookup tables replace the founding-ring modulo so churn can rewire
-// them; on a static ring they hold exactly the modulo values.
-//
-//shardsafety:neighbor
-func (e *Engine[S]) pred(node int32) int32 { return e.predOf[node] }
-
-//shardsafety:neighbor
-func (e *Engine[S]) succ(node int32) int32 { return e.succOf[node] }
 
 // ---------------------------------------------------------------------------
 // Churn application (epoch boundaries, single worker)
@@ -838,12 +791,22 @@ func (e *Engine[S]) applyChurn(op *churnOp[S]) {
 	case opLeave:
 		e.detachArc(op.node, 1)
 	case opSplice:
-		e.detachArc(e.succOf[op.node], op.count)
+		if e.nodes[op.node].Detached() {
+			panic(fmt.Sprintf("runtime: splice anchor %d is not a ring member", op.node))
+		}
+		_, first := e.nodes[op.node].Neighbors()
+		e.detachArc(int32(first), op.count)
 	}
 }
 
+// wire makes b the successor of a and a the predecessor of b.
+func (e *Engine[S]) wire(a, b int32) {
+	e.nodes[a].SetSucc(int(b))
+	e.nodes[b].SetPred(int(a))
+}
+
 func (e *Engine[S]) applyJoin(at float64, after int32, state S) {
-	if !e.active[after] {
+	if e.nodes[after].Detached() {
 		panic(fmt.Sprintf("runtime: join anchor %d is not a ring member", after))
 	}
 	if e.spareNext >= e.total {
@@ -851,23 +814,19 @@ func (e *Engine[S]) applyJoin(at float64, after int32, state S) {
 	}
 	j := int32(e.spareNext)
 	e.spareNext++
-	a, b := after, e.succOf[after]
-	e.succOf[a], e.predOf[b] = j, j
-	e.predOf[j], e.succOf[j] = a, b
-	e.active[j] = true
+	_, succ := e.nodes[after].Neighbors()
+	a, b := after, int32(succ)
+	e.wire(a, j)
+	e.wire(j, b)
 	e.members++
 	nd := &e.nodes[j]
-	nd.state = state
+	nd.SetState(state)
 	// The joiner has not heard from either neighbor yet: self-seeded
 	// caches, healed by the announcement exchange the evInit triggers.
-	nd.cachePred, nd.cacheSucc = state, state
-	nd.censusPriv = false
-	if e.holder != nil {
-		v := statemodel.View[S]{I: int(j), N: e.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
-		if e.holder(v) {
-			nd.censusPriv = true
-			e.shards[e.shardOf[j]].priv++
-		}
+	nd.SetCaches(state, state)
+	nd.censusPriv = e.holder != nil && e.holder(nd.View(int(j), e.n))
+	if nd.censusPriv {
+		e.shards[e.shardOf[j]].priv++
 	}
 	// The rewired edges are fresh physical links: idle, like the msgnet
 	// tier's AddLink.
@@ -887,33 +846,31 @@ func (e *Engine[S]) applyJoin(at float64, after int32, state S) {
 // reconnects their outer neighbors with one fresh edge — Leave is the
 // count==1 case.
 func (e *Engine[S]) detachArc(first int32, count int32) {
-	if first >= 0 && !e.active[first] {
-		panic(fmt.Sprintf("runtime: churn removes non-member %d", first))
-	}
 	if e.members-int(count) < 3 {
 		panic("runtime: churn would shrink the ring below 3 members")
 	}
 	v := first
-	a := e.predOf[first]
+	pred, _ := e.nodes[first].Neighbors()
+	a := int32(pred)
 	for i := int32(0); i < count; i++ {
 		if v == 0 {
 			panic("runtime: churn arc contains node 0 (bottom)")
 		}
-		if !e.active[v] {
+		nd := &e.nodes[v]
+		if nd.Detached() {
 			panic(fmt.Sprintf("runtime: churn removes non-member %d", v))
 		}
-		next := e.succOf[v]
-		e.predOf[v], e.succOf[v] = -1, -1
-		e.active[v] = false
+		_, next := nd.Neighbors()
+		nd.Detach()
 		e.members--
-		if nd := &e.nodes[v]; nd.censusPriv {
+		if nd.censusPriv {
 			e.shards[e.shardOf[v]].priv--
 			nd.censusPriv = false
 		}
-		v = next
+		v = int32(next)
 	}
 	b := v
-	e.succOf[a], e.predOf[b] = b, a
+	e.wire(a, b)
 	e.links[2*a].busyUntil = 0
 	e.links[2*b+1].busyUntil = 0
 }
@@ -930,8 +887,8 @@ func (e *Engine[S]) Snapshots() []Snapshot[S] {
 	out := make([]Snapshot[S], len(e.nodes))
 	e.do(func() {
 		for i := range e.nodes {
-			nd := &e.nodes[i]
-			out[i] = Snapshot[S]{State: nd.state, CachePred: nd.cachePred, CacheSucc: nd.cacheSucc}
+			v := e.nodes[i].View(i, e.n)
+			out[i] = Snapshot[S]{State: v.Self, CachePred: v.Pred, CacheSucc: v.Succ}
 		}
 	})
 	return out
@@ -973,12 +930,7 @@ func (e *Engine[S]) Holders(holder func(statemodel.View[S]) bool) []int {
 
 func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool, out []int) []int {
 	for i := range e.nodes {
-		if !e.active[i] {
-			continue
-		}
-		nd := &e.nodes[i]
-		v := statemodel.View[S]{I: i, N: e.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
-		if holder(v) {
+		if nd := &e.nodes[i]; !nd.Detached() && holder(nd.View(i, e.n)) {
 			out = append(out, i)
 		}
 	}
@@ -998,10 +950,10 @@ func (e *Engine[S]) Members() []int {
 	var out []int
 	e.do(func() {
 		out = make([]int, 0, e.members)
-		i := int32(0)
+		i := 0
 		for {
-			out = append(out, int(i))
-			i = e.succOf[i]
+			out = append(out, i)
+			_, i = e.nodes[i].Neighbors()
 			if i == 0 {
 				break
 			}

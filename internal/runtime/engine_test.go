@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ssrmin/internal/core"
+	"ssrmin/internal/dijkstra"
 	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
 )
@@ -85,6 +86,38 @@ func TestEngineMinimumRing(t *testing.T) {
 			t.Errorf("n=3 w=%d: privilege visited %d/3 nodes", w, len(seen))
 		}
 		e.Stop()
+	}
+}
+
+// TestEngineTwoNodeRingCachesOneNeighbor: on a 2-node ring pred == succ,
+// so both cache slots describe the same process and every delivered frame
+// must refresh both. A view with two different copies of the only
+// neighbor matches no configuration of the ring.
+func TestEngineTwoNodeRingCachesOneNeighbor(t *testing.T) {
+	a := dijkstra.New(2, 3)
+	e := NewEngine[dijkstra.State](a, a.InitialLegitimate(), Options[dijkstra.State]{
+		Delay:          10 * time.Millisecond,
+		Jitter:         5 * time.Millisecond,
+		Refresh:        50 * time.Millisecond,
+		LossProb:       0.2,
+		Seed:           1,
+		CoherentCaches: true,
+		Workers:        1,
+	})
+	split := 0
+	for epoch := 1; epoch <= 300; epoch++ {
+		e.RunUntil(float64(epoch) * 0.01)
+		for _, s := range e.Snapshots() {
+			if s.CachePred != s.CacheSucc {
+				split++
+			}
+		}
+	}
+	if split != 0 {
+		t.Errorf("%d of 600 node snapshots cache two different copies of the only neighbor", split)
+	}
+	if e.RuleExecutions() == 0 {
+		t.Error("no rules executed")
 	}
 }
 

@@ -43,14 +43,13 @@ func (p *prng) float64() float64 {
 // Event records and the epoch calendar
 // ---------------------------------------------------------------------------
 
-// Event kinds. Deliveries carry the direction so the receiver knows which
-// neighbor cache to overwrite without looking the sender up.
+// Event kinds. A delivery names its sender in key2's high word; the
+// receiver's core matches it against its current neighbors.
 const (
-	evInit     uint8 = iota // the t=0 announcement every node starts with
-	evTimer                 // periodic refresh announcement (Algorithm 4)
-	evFromPred              // state announcement arriving from the predecessor
-	evFromSucc              // state announcement arriving from the successor
-	evInject                // scheduled transient fault: overwrite the state
+	evInit    uint8 = iota // the t=0 announcement every node starts with
+	evTimer                // periodic refresh announcement (Algorithm 4)
+	evDeliver              // state announcement arriving from a neighbor
+	evInject               // scheduled transient fault: overwrite the state
 )
 
 // eventRec is one pending event in value form — what crosses shard

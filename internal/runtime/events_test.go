@@ -187,7 +187,7 @@ func TestCalendarLateMerge(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		push(eventRec[int]{at: refresh * rng.Float64(), node: int32(i), kind: evTimer})
-		push(eventRec[int]{at: until * rng.Float64(), node: int32(i), kind: evFromPred})
+		push(eventRec[int]{at: until * rng.Float64(), node: int32(i), kind: evDeliver})
 	}
 	var got []eventRec[int]
 	for lo, horizon := 0.0, delay; lo < until; lo, horizon = horizon, horizon+delay {

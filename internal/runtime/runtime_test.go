@@ -254,7 +254,7 @@ func TestEngineSnapshotsIncludeSpares(t *testing.T) {
 	var fromSnaps []int
 	for i := range snaps {
 		v := statemodel.View[core.State]{I: i, N: 5, Self: snaps[i].State, Pred: snaps[i].CachePred, Succ: snaps[i].CacheSucc}
-		if e.active[i] && core.HasToken(v) {
+		if !e.nodes[i].Detached() && core.HasToken(v) {
 			fromSnaps = append(fromSnaps, i)
 		}
 	}
