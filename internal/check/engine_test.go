@@ -198,7 +198,10 @@ func TestEngineCycleWitness(t *testing.T) {
 	if marked == 0 || marked == illegit {
 		t.Fatalf("Λ' case: %d of %d configurations reach a cycle; want both kinds", marked, illegit)
 	}
-	rep, _ := e.CheckConvergence(thirds)
+	rep, stats := e.CheckConvergence(thirds)
+	if stats.ShiftOrder != 1 {
+		t.Fatalf("Λ' case: K = %d; Λ' is not shift-invariant, want 1", stats.ShiftOrder)
+	}
 	if rep.Converges || rep.Cycle == nil || !rep.Cycle.Equal(c.Decode(want)) {
 		t.Fatalf("Λ' case: converges %v, witness %v; want the smallest cycle-reaching ID %d = %v",
 			rep.Converges, rep.Cycle, want, c.Decode(want))
@@ -210,6 +213,9 @@ func TestEngineCycleWitness(t *testing.T) {
 	want, marked = smallestCycleReacher(c, newIDSet(e.NumConfigs()), rules)
 	if marked == 0 || marked == e.NumConfigs() {
 		t.Fatalf("{1,2,3} case: %d of %d configurations reach a cycle; want both kinds", marked, e.NumConfigs())
+	}
+	if _, _, stats := e.convergence(new(IDSet), 1<<core.RuleReadySecondary|1<<core.RuleSendPrimary|1<<core.RuleRecvSecondary); stats.ShiftOrder != 4 {
+		t.Fatalf("{1,2,3} case: K = %d, want the counter shift's 4", stats.ShiftOrder)
 	}
 	steps, start, ok := e.LongestRestricted(rules)
 	if ok || steps != 0 || start == nil || !start.Equal(c.Decode(want)) {

@@ -67,7 +67,7 @@ func goldenCases[S comparable](alg Space[S], legit func(statemodel.Config[S]) bo
 	var out []convGolden
 	for _, m := range masks {
 		for _, l := range lams {
-			rep, dist, stats := e.convergence(l.set, m.bits)
+			rep, om, stats := e.convergence(l.set, m.bits)
 			g := convGolden{
 				Case:         fmt.Sprintf("%s/%s/%s", alg.Name(), m.name, l.name),
 				Converges:    rep.Converges,
@@ -87,7 +87,7 @@ func goldenCases[S comparable](alg Space[S], legit func(statemodel.Config[S]) bo
 			if rep.Converges {
 				h := fnv.New64a()
 				var b [4]byte
-				for _, d := range dist {
+				for _, d := range e.fullDistances(om) {
 					binary.LittleEndian.PutUint32(b[:], uint32(d))
 					h.Write(b[:])
 				}

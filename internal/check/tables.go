@@ -5,12 +5,28 @@
 // of |Q|³ entries. The engine built on top (engine.go) then expands
 // successors by pure digit arithmetic on uint64 configuration IDs — no
 // Decode/Encode, no View construction, no per-node allocation.
+//
+// The tables also reveal the instance's value-shift symmetry. Let σ add a
+// stride s (a divisor of q) to every state index, mod q. If σ maps each
+// table entry onto an entry with the same rule whose next state is σ of
+// the original next state, then σ applied to every position of a
+// configuration is an automorphism of the distributed-daemon transition
+// graph: the enabled processes and rules are the same, and each successor
+// is shifted the same way. For SSRmin, whose AllStates lists states
+// X-major with four flag combinations per counter value, s = 4 is the
+// counter shift X ↦ X+1 mod K: guards only compare counters for equality
+// and commands only write pred.X or pred.X+1. SSToken's states are bare
+// counters, so s = 1. Rotating positions is not a symmetry, because the
+// bottom process P0 runs other code than the rest (the tables are per
+// position class), so the checker never quotients by it. See
+// Engine.convergence for how the search uses σ.
 package check
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"ssrmin/internal/statemodel"
 )
@@ -36,6 +52,11 @@ type Engine[S comparable] struct {
 
 	// allRules has bit r set for every rule number r of the algorithm.
 	allRules uint32
+
+	// stride is the smallest value-shift stride the tables commute with
+	// (q when only the identity does), found once by strideOnce.
+	strideOnce sync.Once
+	stride     int
 }
 
 // maxSubsetMoves bounds the distributed-daemon subset enumeration, like
@@ -100,6 +121,59 @@ func (c *Checker[S]) Compile(workers int) (*Engine[S], error) {
 // NumConfigs returns |Γ|.
 func (e *Engine[S]) NumConfigs() uint64 { return e.total }
 
+// tableStride returns the smallest stride s dividing q such that the value
+// shift σ(x) = (x+s) mod q commutes with the compiled tables, or q when no
+// nontrivial shift does. The strides that commute form a subgroup of Z_q,
+// so the smallest one generates all of them. The search runs once, on the
+// first convergence analysis, so Compile does not pay for it.
+func (e *Engine[S]) tableStride() int {
+	e.strideOnce.Do(func() {
+		e.stride = e.q
+		for s := 1; s < e.q; s++ {
+			if e.q%s == 0 && e.commutesWithShift(s) {
+				e.stride = s
+				return
+			}
+		}
+	})
+	return e.stride
+}
+
+// commutesWithShift reports whether σ with stride s leaves every rule
+// entry unchanged and maps every next state to σ of itself, in both
+// position classes.
+func (e *Engine[S]) commutesWithShift(s int) bool {
+	q := e.q
+	for class := range e.rule {
+		rt, nt := e.rule[class], e.next[class]
+		for t := range rt {
+			p, x, u := t/(q*q), t/q%q, t%q
+			st := statemodel.TripleIndex(q, (p+s)%q, (x+s)%q, (u+s)%q)
+			if rt[st] != rt[t] || int(nt[st]) != (int(nt[t])+s)%q {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// shiftInvariant reports whether σ with stride s maps every member of lam
+// into lam. σ is a bijection of Γ, so this makes σ(Λ) = Λ.
+func (e *Engine[S]) shiftInvariant(lam *IDSet, s int) bool {
+	digits := make([]int, e.n)
+	ok := true
+	lam.ForEach(func(id uint64) bool {
+		e.digitsOf(id, digits)
+		var sid uint64
+		for i, d := range digits {
+			sid += uint64((d+s)%e.q) * e.pow[i]
+		}
+		ok = lam.Contains(sid)
+		return ok
+	})
+	return ok
+}
+
 // Tables is the exported copy of an engine's compiled transition
 // relation: for each position class (0 = bottom, 1 = other) and each
 // encoded (pred, self, succ) triple (statemodel.TripleIndex layout over
@@ -163,17 +237,20 @@ func (e *Engine[S]) Triples(id uint64, buf []uint32) []uint32 {
 	return buf
 }
 
-// mover is one enabled move in ID space: executing it adds delta to the
-// configuration ID (the state-index change times the position's place
-// value — composite atomicity makes simultaneous moves sum).
+// mover is one enabled move: the process at pos enters state index to.
+// Executing it adds delta to the ID (the state-index change times the
+// position's place value — composite atomicity makes simultaneous moves
+// sum).
 type mover struct {
-	delta int64
-	rule  uint8
+	delta   int64
+	pos, to int
 }
 
 // enabledMoves appends the moves of the configuration with the given
-// digits that are permitted by ruleMask, in increasing position order.
-func (e *Engine[S]) enabledMoves(digits []int, ruleMask uint32, buf []mover) []mover {
+// digits that are permitted by ruleMask, in increasing position order,
+// with deltas over the place values pow (the configuration encoding's or
+// an orbit encoding's).
+func (e *Engine[S]) enabledMoves(digits []int, ruleMask uint32, pow []uint64, buf []mover) []mover {
 	q, n := e.q, len(digits)
 	pd, class := digits[n-1], 0 // position 0 is the bottom class
 	for i, sd := range digits {
@@ -185,62 +262,12 @@ func (e *Engine[S]) enabledMoves(digits []int, ruleMask uint32, buf []mover) []m
 		pd = sd
 		r := e.rule[class][t]
 		if r != 0 && ruleMask&(1<<uint(r)) != 0 {
-			buf = append(buf, mover{
-				delta: (int64(e.next[class][t]) - int64(sd)) * int64(e.pow[i]),
-				rule:  r,
-			})
+			to := int(e.next[class][t])
+			buf = append(buf, mover{delta: int64(to-sd) * int64(pow[i]), pos: i, to: to})
 		}
 		class = 1
 	}
 	return buf
-}
-
-// distinctSuccessors appends the distinct successor IDs of id over every
-// nonempty subset of movers (the distributed daemon's choices) using the
-// caller's subset-sum scratch (grown to 2^e as needed). Every delta moves
-// exactly one base-q digit without carries, so distinct subsets yield
-// distinct IDs whenever no delta is zero — the common case, needing no
-// dedup; a zero delta (a rule mapping a state to itself) falls back to a
-// linear dedup, preserving the legacy Successors/expand semantics exactly.
-func distinctSuccessors(id uint64, movers []mover, buf []uint32, sums []int64) ([]uint32, []int64) {
-	e := len(movers)
-	if e == 0 {
-		return buf, sums
-	}
-	if e > maxSubsetMoves {
-		panic("check: too many enabled processes for subset enumeration")
-	}
-	if len(sums) < 1<<uint(e) {
-		sums = make([]int64, 1<<uint(e))
-	}
-	anyZero := false
-	for _, m := range movers {
-		if m.delta == 0 {
-			anyZero = true
-			break
-		}
-	}
-	base := len(buf)
-	for mask := 1; mask < 1<<uint(e); mask++ {
-		lb := mask & -mask
-		d := sums[mask^lb] + movers[bits.TrailingZeros32(uint32(mask))].delta
-		sums[mask] = d
-		nid := uint32(int64(id) + d)
-		if anyZero {
-			dup := false
-			for _, x := range buf[base:] {
-				if x == nid {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-		}
-		buf = append(buf, nid)
-	}
-	return buf, sums
 }
 
 // IDSet is a dense bitmap over the configuration ID space — the engine's
