@@ -12,6 +12,13 @@
 // FuzzBitsliceStep target hold the two paths to exact equality; the
 // scalar runners in scalar.go are the oracle.
 //
+// The work is word-parallel end to end. Per-lane draws become lane
+// masks through one 64×64 bit transpose: seeding is node-major, so each
+// node's 64 initial draws are transposed into its digit planes, and each
+// subset-daemon step transposes its 64 coin draws into per-process
+// masks. Both kernels share the digit ring of ring.go, whose single
+// guard pass per step feeds both the legitimacy mask and the step.
+//
 // Lane-masked convergence detection retires lanes individually: a done
 // mask freezes converged (or exhausted) lanes while the batch keeps
 // stepping the rest, and per-lane step counts come back ready for
@@ -103,20 +110,35 @@ func SampleSSToken(r *RNG, k int) dijkstra.State {
 }
 
 // transpose64 transposes the 64×64 bit matrix in (the classic recursive
-// block swap): out[i] bit L = in[L] bit i. It converts 64 per-lane
-// daemon draws into 64 per-process lane masks.
+// block swap, unrolled into its six stages): out[i] bit L = in[L] bit i.
+// It turns 64 per-lane draws into per-row lane masks — the subset
+// daemon's coins into per-process masks, and the seeding residues into
+// digit planes.
 //
 //allocgate:hot
 func transpose64(in, out *[Lanes]uint64) {
 	*out = *in
-	m := uint64(0x00000000FFFFFFFF)
-	for j := 32; j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := ((out[k] >> uint(j)) ^ out[k+j]) & m
-			out[k] ^= t << uint(j)
-			out[k+j] ^= t
-		}
-		m ^= m << uint(j>>1)
+	swapBlocks(out, 32, 0x00000000FFFFFFFF)
+	swapBlocks(out, 16, 0x0000FFFF0000FFFF)
+	swapBlocks(out, 8, 0x00FF00FF00FF00FF)
+	swapBlocks(out, 4, 0x0F0F0F0F0F0F0F0F)
+	swapBlocks(out, 2, 0x3333333333333333)
+	swapBlocks(out, 1, 0x5555555555555555)
+}
+
+// swapBlocks is one transpose64 stage: within every 2j×2j block it
+// exchanges the upper-right and lower-left j×j sub-blocks, where m
+// selects the low j bits of each 2j-bit group. Row k pairs with row k|j
+// for the 32 rows k whose bit j is clear; it inlines, so j and m are
+// constants in each stage.
+//
+//allocgate:hot
+func swapBlocks(o *[Lanes]uint64, j uint, m uint64) {
+	for i := uint(0); i < Lanes/2; i++ {
+		k := (i&^(j-1))<<1 | i&(j-1)
+		t := (o[k]>>j ^ o[k|j]) & m
+		o[k] ^= t << j
+		o[k|j] ^= t
 	}
 }
 

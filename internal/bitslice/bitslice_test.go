@@ -1,6 +1,9 @@
 package bitslice
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -229,6 +232,128 @@ func TestRunRetiresLanesAtBudget(t *testing.T) {
 		}
 		if ok && steps[lane] > 2 {
 			t.Fatalf("lane %d: converged with steps=%d past budget", lane, steps[lane])
+		}
+	}
+}
+
+// TestSeedLanesMatchesPerLane holds the node-major, transposed SeedLanes
+// to the per-lane construction it replaces — SampleSSRmin/SampleSSToken
+// draws from each lane's stream poked in with SetLaneState — plane for
+// plane, flag row for flag row, and stream for stream. The alphabets are
+// K = n+1, K exactly a power of two (the truncated K constant is zero),
+// K with 41 planes, and two K past 2⁶² up to the largest K the
+// constructors accept, whose digits reach bit 62: the draw bit SSRmin's
+// RTS flag comes from.
+func TestSeedLanesMatchesPerLane(t *testing.T) {
+	var cases []struct{ n, k int }
+	for _, n := range []int{3, 8, 64} {
+		pow := 1 << uint(planesFor(n+1))
+		if pow == n+1 {
+			pow *= 2
+		}
+		for _, k := range []int{n + 1, pow, 1<<40 + 7, 3<<61 + 3, math.MaxInt} {
+			cases = append(cases, struct{ n, k int }{n, k})
+		}
+	}
+	for _, tc := range cases {
+		for _, seed := range []int64{1, -3} {
+			b := NewSSRmin(tc.n, tc.k, Subset)
+			b.SeedLanes(seed)
+			ref := NewSSRmin(tc.n, tc.k, Subset)
+			for lane := 0; lane < Lanes; lane++ {
+				r := SeedStream(seed, lane)
+				for i := 0; i < tc.n; i++ {
+					ref.SetLaneState(lane, i, SampleSSRmin(&r, tc.k))
+				}
+				ref.lanes[lane] = r
+			}
+			if !slices.Equal(b.x, ref.x) || !slices.Equal(b.rts, ref.rts) || !slices.Equal(b.tra, ref.tra) {
+				t.Fatalf("ssrmin n=%d K=%d seed %d: seeded planes differ from the per-lane construction", tc.n, tc.k, seed)
+			}
+			if b.lanes != ref.lanes {
+				t.Fatalf("ssrmin n=%d K=%d seed %d: lane streams left at different positions", tc.n, tc.k, seed)
+			}
+
+			d := NewSSToken(tc.n, tc.k, Subset)
+			d.SeedLanes(seed)
+			dref := NewSSToken(tc.n, tc.k, Subset)
+			for lane := 0; lane < Lanes; lane++ {
+				r := SeedStream(seed, lane)
+				for i := 0; i < tc.n; i++ {
+					dref.SetLaneState(lane, i, SampleSSToken(&r, tc.k))
+				}
+				dref.lanes[lane] = r
+			}
+			if !slices.Equal(d.x, dref.x) || d.lanes != dref.lanes {
+				t.Fatalf("sstoken n=%d K=%d seed %d: seeding differs from the per-lane construction", tc.n, tc.k, seed)
+			}
+		}
+	}
+}
+
+// TestStepAfterPokeRecomputesGuards evaluates the legitimacy mask (which
+// fills the guard rows), then pokes states that flip guards, then steps:
+// Step must re-evaluate the guards rather than reuse the stale rows, so
+// every lane still matches its scalar simulator.
+func TestStepAfterPokeRecomputesGuards(t *testing.T) {
+	const n, k, seed = 6, 9, 5
+	alg := core.New(n, k)
+	b := NewSSRmin(n, k, Subset)
+	b.SeedLanes(seed)
+	dalg := dijkstra.New(n, k)
+	d := NewSSToken(n, k, Subset)
+	d.SeedLanes(seed)
+
+	// A poke restarts a lane's simulator from the poked configuration
+	// with the same daemon, which keeps its place in the lane stream.
+	sims := make([]*statemodel.Simulator[core.State], Lanes)
+	dsims := make([]*statemodel.Simulator[dijkstra.State], Lanes)
+	daemons := make([]statemodel.Daemon, Lanes)
+	ddaemons := make([]statemodel.Daemon, Lanes)
+	for lane := 0; lane < Lanes; lane++ {
+		r := SeedStream(seed, lane)
+		init := make(statemodel.Config[core.State], n)
+		for i := range init {
+			init[i] = SampleSSRmin(&r, k)
+		}
+		daemons[lane] = NewSubsetDaemon(&r)
+		sims[lane] = statemodel.NewSimulator[core.State](alg, daemons[lane], init)
+
+		dr := SeedStream(seed, lane)
+		dinit := make(statemodel.Config[dijkstra.State], n)
+		for i := range dinit {
+			dinit[i] = SampleSSToken(&dr, k)
+		}
+		ddaemons[lane] = NewSubsetDaemon(&dr)
+		dsims[lane] = statemodel.NewSimulator[dijkstra.State](dalg, ddaemons[lane], dinit)
+	}
+
+	for s := 0; s < 20; s++ {
+		b.LegitMask()
+		d.LegitMask()
+		// Poke every lane: copy (or, on odd lanes, bump) a predecessor's
+		// digit into a node, which raises or drops that node's guard.
+		for lane := 0; lane < Lanes; lane++ {
+			i, bump := (s+lane)%n, lane%2
+			c := sims[lane].Config()
+			c[i].X = (c[(i+n-1)%n].X + bump) % k
+			b.SetLaneState(lane, i, c[i])
+			sims[lane] = statemodel.NewSimulator[core.State](alg, daemons[lane], c)
+
+			dc := dsims[lane].Config()
+			dc[i].X = (dc[(i+n-1)%n].X + bump) % k
+			d.SetLaneState(lane, i, dc[i])
+			dsims[lane] = statemodel.NewSimulator[dijkstra.State](dalg, ddaemons[lane], dc)
+		}
+		b.Step()
+		d.Step()
+		for lane := 0; lane < Lanes; lane++ {
+			sims[lane].Step()
+			dsims[lane].Step()
+			checkLaneSSRmin(t, b, lane, sims[lane].Config(), fmt.Sprintf("ssrmin step %d after poke", s))
+			if got, want := d.LaneConfig(lane), dsims[lane].Config(); !got.Equal(want) {
+				t.Fatalf("sstoken step %d after poke: lane %d diverged\n batch:  %v\n scalar: %v", s, lane, got, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bitslice
 
 import (
+	"math"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -11,18 +12,30 @@ import (
 // FuzzBitsliceStep throws random ring sizes, alphabets, daemon kinds,
 // and state corruptions at both batch kernels and steps them against 64
 // scalar simulators; any divergence is reported with the offending lane
-// as the witness. Pokes corrupt states after seeding (in both paths
-// identically), so the kernels are exercised on arbitrary lane states,
-// not just sampled ones.
+// as the witness. Ring sizes span the whole batch range 3..64. Alphabets
+// come in two families: K = n+1..n+8, and (top bit of kb set) a large-K
+// family with 63−s planes for s = kb mod 32, K picked by the seed from
+// (2⁶²⁻ˢ, 2⁶³⁻ˢ); at s = 0 the digits reach draw bit 62, which seeding
+// also reads SSRmin's RTS flag from. Pokes corrupt states
+// after seeding (in both paths identically), so the kernels are
+// exercised on arbitrary lane states, not just sampled ones.
 func FuzzBitsliceStep(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0), true, uint8(5), []byte{})
 	f.Add(int64(42), uint8(5), uint8(3), false, uint8(9), []byte{0x03, 0x01, 0xc7})
 	f.Add(int64(-7), uint8(13), uint8(7), true, uint8(3), []byte{0x3f, 0x00, 0x80, 0x11, 0x02, 0x41})
 	f.Add(int64(1<<40), uint8(0), uint8(1), true, uint8(11), []byte{0x20, 0x03, 0x05})
+	f.Add(int64(9), uint8(61), uint8(2), true, uint8(4), []byte{0x07, 0x3f, 0x81})
+	f.Add(int64(3), uint8(29), uint8(0x80), true, uint8(6), []byte{0x10, 0x04, 0xff})
+	f.Add(int64(-1), uint8(61), uint8(0x9f), false, uint8(2), []byte{0x00, 0x00, 0x3f})
+	f.Add(int64(3<<60), uint8(5), uint8(0xa0), true, uint8(3), []byte{0x01, 0x02, 0x7f})
 
 	f.Fuzz(func(t *testing.T, seed int64, nb, kb uint8, subset bool, stepsB uint8, pokes []byte) {
-		n := 3 + int(nb%14)    // 3..16
-		k := n + 1 + int(kb%8) // n+1..n+8
+		n := 3 + int(nb%62) // 3..64
+		k := n + 1 + int(kb%8)
+		if kb&0x80 != 0 {
+			hi := math.MaxInt >> (kb % 32)
+			k = hi - int(uint64(seed)%uint64(hi/2))
+		}
 		steps := 1 + int(stepsB%12)
 		kind := Synchronous
 		if subset {
@@ -32,6 +45,16 @@ func FuzzBitsliceStep(f *testing.F) {
 		fuzzSSRminStep(t, n, k, kind, seed, steps, pokes)
 		fuzzSSTokenStep(t, n, k, kind, seed, steps, pokes)
 	})
+}
+
+// pokeDigit maps a poke byte to a digit in [0, K): the byte itself mod
+// K, except that on the large-K family it picks one of the 256 largest
+// digits, so pokes also set the high planes.
+func pokeDigit(v byte, k int) int {
+	if k <= 1<<16 {
+		return int(v) % k
+	}
+	return k - 1 - int(v)
 }
 
 func fuzzSSRminStep(t *testing.T, n, k int, kind DaemonKind, seed int64, steps int, pokes []byte) {
@@ -52,7 +75,7 @@ func fuzzSSRminStep(t *testing.T, n, k int, kind DaemonKind, seed int64, steps i
 	for j := 0; j+2 < len(pokes) && j < 30; j += 3 {
 		lane := int(pokes[j]) % Lanes
 		node := int(pokes[j+1]) % n
-		s := core.State{X: int(pokes[j+2]&0x3f) % k, RTS: pokes[j+2]&0x40 != 0, TRA: pokes[j+2]&0x80 != 0}
+		s := core.State{X: pokeDigit(pokes[j+2]&0x3f, k), RTS: pokes[j+2]&0x40 != 0, TRA: pokes[j+2]&0x80 != 0}
 		b.SetLaneState(lane, node, s)
 		inits[lane][node] = s
 	}
@@ -102,7 +125,7 @@ func fuzzSSTokenStep(t *testing.T, n, k int, kind DaemonKind, seed int64, steps 
 	for j := 0; j+2 < len(pokes) && j < 30; j += 3 {
 		lane := int(pokes[j]) % Lanes
 		node := int(pokes[j+1]) % n
-		s := dijkstra.State{X: int(pokes[j+2]) % k}
+		s := dijkstra.State{X: pokeDigit(pokes[j+2], k)}
 		b.SetLaneState(lane, node, s)
 		inits[lane][node] = s
 	}

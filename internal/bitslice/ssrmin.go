@@ -1,87 +1,51 @@
 package bitslice
 
 import (
-	"fmt"
-
 	"ssrmin/internal/core"
 	"ssrmin/internal/statemodel"
 )
 
-// SSRmin is a 64-lane bit-sliced batch of the paper's SSRmin algorithm.
-// X digits live plane-transposed (planes words per node, bit L of plane
-// p = bit p of lane L's digit); the RTS and TRA flags are one word per
-// node. All buffers are allocated once in NewSSRmin; stepping is pure
-// word arithmetic.
+// SSRmin is a 64-lane bit-sliced batch of the paper's SSRmin algorithm:
+// the shared digit ring plus the RTS and TRA flags, one word per node.
+// All buffers are allocated once in NewSSRmin; stepping is pure word
+// arithmetic.
 type SSRmin struct {
-	n, k, planes int
-	daemon       DaemonKind
+	digitRing
 
-	x   []uint64 // digit planes, x[i*planes : (i+1)*planes]
 	rts []uint64 // one word per node
 	tra []uint64
 
-	kc   []uint64 // broadcast planes of the constant K
-	inc  []uint64 // scratch digit: incremented predecessor
-	save []uint64 // scratch digit: node n-1's pre-step value
-
-	// Per-node rule masks of the step in flight: guard, enabled,
-	// rules R1/R3 (flag writers), and R2|R4 (the X writers).
-	g, en, r1, r3, cmd []uint64
-
-	lanes [Lanes]RNG
-	draws [Lanes]uint64
-	coins [Lanes]uint64
+	// Per-node rule masks of the step in flight: rules R1/R3 (flag
+	// writers) and R2|R4 (the X writers).
+	r1, r3, cmd []uint64
 }
 
 // NewSSRmin builds an all-zero batch for ring size n and alphabet K
 // under the given daemon protocol. Seed lanes with SeedLanes (or poke
 // states with SetLaneState) before running.
 func NewSSRmin(n, k int, d DaemonKind) *SSRmin {
-	if n < 3 || n > Lanes {
-		panic(fmt.Sprintf("bitslice: ring size %d outside [3,%d]", n, Lanes))
+	return &SSRmin{
+		digitRing: newDigitRing(n, 3, k, d),
+		rts:       make([]uint64, n),
+		tra:       make([]uint64, n),
+		r1:        make([]uint64, n),
+		r3:        make([]uint64, n),
+		cmd:       make([]uint64, n),
 	}
-	if k <= n {
-		panic(fmt.Sprintf("bitslice: need K > n, got K=%d n=%d", k, n))
-	}
-	planes := planesFor(k)
-	b := &SSRmin{
-		n: n, k: k, planes: planes, daemon: d,
-		x:    make([]uint64, n*planes),
-		rts:  make([]uint64, n),
-		tra:  make([]uint64, n),
-		kc:   make([]uint64, planes),
-		inc:  make([]uint64, planes),
-		save: make([]uint64, planes),
-		g:    make([]uint64, n),
-		en:   make([]uint64, n),
-		r1:   make([]uint64, n),
-		r3:   make([]uint64, n),
-		cmd:  make([]uint64, n),
-	}
-	broadcastK(b.kc, k)
-	return b
 }
-
-// N returns the ring size.
-func (b *SSRmin) N() int { return b.n }
-
-// K returns the digit alphabet size.
-func (b *SSRmin) K() int { return b.k }
-
-// digit returns node i's plane slice.
-func (b *SSRmin) digit(i int) []uint64 { return b.x[i*b.planes : (i+1)*b.planes] }
 
 // SeedLanes samples all 64 lanes' initial configurations, lane L from
 // SeedStream(seed, L) with one SampleSSRmin draw per node — exactly the
 // draws the scalar oracle makes — and leaves each lane's stream
-// positioned for the daemon coins of step one.
+// positioned for the daemon coins of step one. It seeds node-major: each
+// node's 64 draws become its digit planes through one transpose, and the
+// draws' top two bits its RTS and TRA rows.
+//
+//allocgate:hot
 func (b *SSRmin) SeedLanes(seed int64) {
-	for lane := 0; lane < Lanes; lane++ {
-		r := SeedStream(seed, lane)
-		for i := 0; i < b.n; i++ {
-			b.SetLaneState(lane, i, SampleSSRmin(&r, b.k))
-		}
-		b.lanes[lane] = r
+	b.seedStreams(seed)
+	for i := 0; i < b.n; i++ {
+		b.rts[i], b.tra[i] = b.seedDigit(i)
 	}
 }
 
@@ -106,12 +70,17 @@ func (b *SSRmin) LaneConfig(lane int) statemodel.Config[core.State] {
 }
 
 // Step advances every lane by one daemon step and returns the mask of
-// lanes that had no enabled process (deadlocked lanes, untouched).
-func (b *SSRmin) Step() uint64 { return b.step(allLanes) }
+// lanes that had no enabled process (deadlocked lanes, untouched). It
+// re-evaluates the guards first, since SetLaneState may have changed the
+// configuration since the last pass.
+func (b *SSRmin) Step() uint64 {
+	b.guards()
+	return b.step(allLanes)
+}
 
 // LegitMask returns the mask of lanes currently in a legitimate
 // configuration (the exact predicate of core.Algorithm.Legitimate).
-func (b *SSRmin) LegitMask() uint64 { return b.legitMask() }
+func (b *SSRmin) LegitMask() uint64 { return b.legitMask(b.guards()) }
 
 // Run seeds nothing and steps the batch until every lane either reaches
 // a legitimate configuration, deadlocks, or exhausts maxSteps. It
@@ -119,45 +88,24 @@ func (b *SSRmin) LegitMask() uint64 { return b.legitMask() }
 // statemodel.Simulator.RunUntil(Legitimate, maxSteps) draw-for-draw —
 // and the mask of lanes that converged.
 func (b *SSRmin) Run(maxSteps int) (steps [Lanes]int, converged uint64) {
-	var done uint64
-	for t := 0; ; t++ {
-		legit := b.legitMask()
-		newly := legit &^ done
-		forEachLane(newly, func(lane int) { steps[lane] = t })
-		done |= newly
-		converged |= newly
-		if done == allLanes {
-			return steps, converged
-		}
-		if t >= maxSteps {
-			forEachLane(^done, func(lane int) { steps[lane] = maxSteps })
-			return steps, converged
-		}
-		stuck := b.step(^done) &^ done
-		forEachLane(stuck, func(lane int) { steps[lane] = t })
-		done |= stuck
-		if done == allLanes {
-			return steps, converged
-		}
-	}
+	return run(b, maxSteps)
 }
 
 // step performs one composite-atomicity daemon step on the lanes in
-// active. Pass 1 reads the old configuration into per-node rule masks
-// and accumulates the subset daemon's selection try; pass 2 commits,
-// walking the ring descending (with node n-1's old digit stashed) so
-// every command still reads pre-step neighbor digits in place. Returns
-// the active lanes with no enabled process.
+// active. Pass 1 reads the old configuration — with the guards b.g of
+// the last guards pass, which must be on this configuration — into
+// per-node rule masks and accumulates the subset daemon's selection
+// try; pass 2 commits, walking the ring descending (with node 0's
+// x_{n-1}+1 computed first) so every command still reads pre-step
+// neighbor digits in place. Returns the active lanes with no enabled
+// process.
 //
 //allocgate:hot
 func (b *SSRmin) step(active uint64) (stuck uint64) {
 	n := b.n
 	subset := b.daemon == Subset
 	if subset {
-		for lane := range b.draws {
-			b.draws[lane] = b.lanes[lane].Next()
-		}
-		transpose64(&b.draws, &b.coins)
+		b.drawCoins()
 	}
 
 	var anyEn, anySel uint64
@@ -169,10 +117,7 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 		if succ == n {
 			succ = 0
 		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
+		g := b.g[i]
 		sR, sT := b.rts[i], b.tra[i]
 		pR, pT := b.rts[pred], b.tra[pred]
 		nR, nT := b.rts[succ], b.tra[succ]
@@ -190,7 +135,7 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 		r5 := ^g &^ r3 &^ self00 &^ (pred10 & self01)
 
 		en := (r1 | r2 | r3 | r4 | r5) & active
-		b.g[i], b.en[i] = g, en
+		b.en[i] = en
 		b.r1[i], b.r3[i] = r1, r3
 		b.cmd[i] = r2 | r4
 		anyEn |= en
@@ -207,7 +152,7 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 		fallback = anyEn &^ anySel
 	}
 
-	copy(b.save, b.digit(n-1))
+	incModK(b.inc, b.digit(n-1), b.kc)
 	for i := n - 1; i >= 0; i-- {
 		sel := b.en[i]
 		if subset {
@@ -215,45 +160,22 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 		}
 		b.rts[i] = (b.rts[i] &^ sel) | (sel & b.r1[i])
 		b.tra[i] = (b.tra[i] &^ sel) | (sel & b.r3[i])
-		if m := sel & b.cmd[i]; m != 0 {
-			var src []uint64
-			if i == 0 {
-				incModK(b.inc, b.save, b.kc)
-				src = b.inc
-			} else {
-				src = b.digit(i - 1)
-			}
-			selDigit(b.digit(i), src, m)
-		}
+		b.command(i, sel&b.cmd[i])
 	}
 	return stuck
 }
 
 // legitMask evaluates core.Algorithm.Legitimate lane-parallel: exactly
 // one Dijkstra guard, the strict-form digit condition, and no handshake
-// violation anywhere on the ring.
+// violation anywhere on the ring. It reads b.g and takes one, the lanes
+// with a unique guard, from the guards pass on this configuration.
 //
 //allocgate:hot
-func (b *SSRmin) legitMask() uint64 {
-	n := b.n
-	var seen, two uint64
-	for i := 0; i < n; i++ {
-		pred := i - 1
-		if i == 0 {
-			pred = n - 1
-		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
-		b.g[i] = g
-		two |= seen & g
-		seen |= g
-	}
-	exactly := seen &^ two
-	if exactly == 0 {
+func (b *SSRmin) legitMask(one uint64) uint64 {
+	if one == 0 {
 		return 0
 	}
+	n := b.n
 
 	// Handshake discipline: every node outside {holder, holder's
 	// successor} is ⟨0.0⟩; the holder is ⟨0.1⟩ or ⟨1.0⟩; a holder at
@@ -279,11 +201,5 @@ func (b *SSRmin) legitMask() uint64 {
 		viol |= g & p10 & nR
 	}
 
-	// Strict form: with the unique guard at holder h > 0 the ring is
-	// (A,…,A,B,…,B) with x₀ = A, xₙ₋₁ = B, and legitimacy needs
-	// A = B+1 mod K; a guard at node 0 means a constant ring, which is
-	// always in strict form.
-	incModK(b.inc, b.digit(n-1), b.kc)
-	xok := b.g[0] | eqDigit(b.digit(0), b.inc)
-	return exactly & xok &^ viol
+	return one & b.strictForm() &^ viol
 }

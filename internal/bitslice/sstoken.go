@@ -1,70 +1,32 @@
 package bitslice
 
 import (
-	"fmt"
-
 	"ssrmin/internal/dijkstra"
 	"ssrmin/internal/statemodel"
 )
 
 // SSToken is a 64-lane bit-sliced batch of Dijkstra's K-state token
-// ring (internal/dijkstra): digit planes only, one rule per node.
+// ring (internal/dijkstra): the shared digit ring alone, one rule per
+// node.
 type SSToken struct {
-	n, k, planes int
-	daemon       DaemonKind
-
-	x    []uint64 // digit planes, x[i*planes : (i+1)*planes]
-	kc   []uint64
-	inc  []uint64
-	save []uint64
-
-	g, en []uint64
-
-	lanes [Lanes]RNG
-	draws [Lanes]uint64
-	coins [Lanes]uint64
+	digitRing
 }
 
 // NewSSToken builds an all-zero batch for ring size n and alphabet K
 // under the given daemon protocol.
 func NewSSToken(n, k int, d DaemonKind) *SSToken {
-	if n < 2 || n > Lanes {
-		panic(fmt.Sprintf("bitslice: ring size %d outside [2,%d]", n, Lanes))
-	}
-	if k <= n {
-		panic(fmt.Sprintf("bitslice: need K > n, got K=%d n=%d", k, n))
-	}
-	planes := planesFor(k)
-	b := &SSToken{
-		n: n, k: k, planes: planes, daemon: d,
-		x:    make([]uint64, n*planes),
-		kc:   make([]uint64, planes),
-		inc:  make([]uint64, planes),
-		save: make([]uint64, planes),
-		g:    make([]uint64, n),
-		en:   make([]uint64, n),
-	}
-	broadcastK(b.kc, k)
-	return b
+	return &SSToken{digitRing: newDigitRing(n, 2, k, d)}
 }
 
-// N returns the ring size.
-func (b *SSToken) N() int { return b.n }
-
-// K returns the digit alphabet size.
-func (b *SSToken) K() int { return b.k }
-
-func (b *SSToken) digit(i int) []uint64 { return b.x[i*b.planes : (i+1)*b.planes] }
-
 // SeedLanes samples all 64 lanes, lane L from SeedStream(seed, L) with
-// one SampleSSToken draw per node, mirroring the scalar oracle.
+// one SampleSSToken draw per node, mirroring the scalar oracle; each
+// node's 64 draws become its digit planes through one transpose.
+//
+//allocgate:hot
 func (b *SSToken) SeedLanes(seed int64) {
-	for lane := 0; lane < Lanes; lane++ {
-		r := SeedStream(seed, lane)
-		for i := 0; i < b.n; i++ {
-			b.SetLaneState(lane, i, SampleSSToken(&r, b.k))
-		}
-		b.lanes[lane] = r
+	b.seedStreams(seed)
+	for i := 0; i < b.n; i++ {
+		b.seedDigit(i)
 	}
 }
 
@@ -84,67 +46,42 @@ func (b *SSToken) LaneConfig(lane int) statemodel.Config[dijkstra.State] {
 
 // Step advances every lane by one daemon step and returns the mask of
 // deadlocked lanes (always zero for this algorithm: some guard is
-// always up on a ring with K ≥ n).
-func (b *SSToken) Step() uint64 { return b.step(allLanes) }
+// always up on a ring with K ≥ n). It re-evaluates the guards first,
+// since SetLaneState may have changed the configuration since the last
+// pass.
+func (b *SSToken) Step() uint64 {
+	b.guards()
+	return b.step(allLanes)
+}
 
 // LegitMask returns the mask of lanes currently in a legitimate
 // (single-token strict-form) configuration.
-func (b *SSToken) LegitMask() uint64 { return b.legitMask() }
+func (b *SSToken) LegitMask() uint64 { return b.legitMask(b.guards()) }
 
 // Run steps the batch until every lane reaches a legitimate
 // configuration or exhausts maxSteps, returning per-lane transition
 // counts and the converged mask — matching
 // statemodel.Simulator.RunUntil(Legitimate, maxSteps) per lane.
 func (b *SSToken) Run(maxSteps int) (steps [Lanes]int, converged uint64) {
-	var done uint64
-	for t := 0; ; t++ {
-		legit := b.legitMask()
-		newly := legit &^ done
-		forEachLane(newly, func(lane int) { steps[lane] = t })
-		done |= newly
-		converged |= newly
-		if done == allLanes {
-			return steps, converged
-		}
-		if t >= maxSteps {
-			forEachLane(^done, func(lane int) { steps[lane] = maxSteps })
-			return steps, converged
-		}
-		stuck := b.step(^done) &^ done
-		forEachLane(stuck, func(lane int) { steps[lane] = t })
-		done |= stuck
-		if done == allLanes {
-			return steps, converged
-		}
-	}
+	return run(b, maxSteps)
 }
 
 // step performs one composite-atomicity daemon step on the lanes in
-// active; see SSRmin.step for the two-pass shape.
+// active, with the guards b.g of the last guards pass; see SSRmin.step
+// for the two-pass shape.
 //
 //allocgate:hot
 func (b *SSToken) step(active uint64) (stuck uint64) {
 	n := b.n
 	subset := b.daemon == Subset
 	if subset {
-		for lane := range b.draws {
-			b.draws[lane] = b.lanes[lane].Next()
-		}
-		transpose64(&b.draws, &b.coins)
+		b.drawCoins()
 	}
 
 	var anyEn, anySel uint64
 	for i := 0; i < n; i++ {
-		pred := i - 1
-		if i == 0 {
-			pred = n - 1
-		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
-		en := g & active
-		b.g[i], b.en[i] = g, en
+		en := b.g[i] & active
+		b.en[i] = en
 		anyEn |= en
 		if subset {
 			anySel |= en & b.coins[i]
@@ -157,52 +94,25 @@ func (b *SSToken) step(active uint64) (stuck uint64) {
 		fallback = anyEn &^ anySel
 	}
 
-	copy(b.save, b.digit(n-1))
+	incModK(b.inc, b.digit(n-1), b.kc)
 	for i := n - 1; i >= 0; i-- {
 		sel := b.en[i]
 		if subset {
 			sel &= b.coins[i] | fallback
 		}
-		if sel == 0 {
-			continue
-		}
-		var src []uint64
-		if i == 0 {
-			incModK(b.inc, b.save, b.kc)
-			src = b.inc
-		} else {
-			src = b.digit(i - 1)
-		}
-		selDigit(b.digit(i), src, sel)
+		b.command(i, sel)
 	}
 	return stuck
 }
 
-// legitMask evaluates dijkstra.Algorithm.Legitimate lane-parallel:
-// exactly one guard up, and the strict-form digit condition.
+// legitMask evaluates dijkstra.Algorithm.Legitimate lane-parallel from
+// the last guards pass: exactly one guard up (the mask one), and the
+// strict-form digit condition.
 //
 //allocgate:hot
-func (b *SSToken) legitMask() uint64 {
-	n := b.n
-	var seen, two uint64
-	for i := 0; i < n; i++ {
-		pred := i - 1
-		if i == 0 {
-			pred = n - 1
-		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
-		b.g[i] = g
-		two |= seen & g
-		seen |= g
-	}
-	exactly := seen &^ two
-	if exactly == 0 {
+func (b *SSToken) legitMask(one uint64) uint64 {
+	if one == 0 {
 		return 0
 	}
-	incModK(b.inc, b.digit(n-1), b.kc)
-	xok := b.g[0] | eqDigit(b.digit(0), b.inc)
-	return exactly & xok
+	return one & b.strictForm()
 }

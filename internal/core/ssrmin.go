@@ -329,15 +329,22 @@ func (a *Algorithm) Legitimate(c statemodel.Config[State]) bool {
 // strict form of Section 2.3: (x, …, x) or (x+1, …, x+1, x, …, x). Merely
 // having a single token is not enough — Definition 1 requires the step to
 // be exactly one (mod K).
+//
+// It tests dijkstra.GuardX on the counters directly, without building
+// views, and gives up at the second guard.
 func (a *Algorithm) dijkstraHolder(c statemodel.Config[State]) int {
-	holder, count := -1, 0
-	for i := range c {
-		if G(c.View(i)) {
+	holder := -1
+	pred := c[len(c)-1].X
+	for i, s := range c {
+		if dijkstra.GuardX(i, s.X, pred) {
+			if holder >= 0 {
+				return -1
+			}
 			holder = i
-			count++
 		}
+		pred = s.X
 	}
-	if count != 1 {
+	if holder < 0 {
 		return -1
 	}
 	if holder > 0 && c[0].X != (c[holder].X+1)%a.k {

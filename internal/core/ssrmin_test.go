@@ -131,27 +131,37 @@ func TestClosureFullCycle(t *testing.T) {
 	}
 }
 
-// TestLegitimatePredicateMatchesEnumeration exhaustively checks, for a
-// small instance, that the structural predicate Legitimate agrees with the
-// explicit enumeration of Definition 1.
+// TestLegitimatePredicateMatchesEnumeration exhaustively checks, for
+// small instances, that the structural predicate Legitimate agrees with
+// the explicit enumeration of Definition 1 on every configuration.
 func TestLegitimatePredicateMatchesEnumeration(t *testing.T) {
-	a := New(3, 4)
-	want := make(map[string]bool)
-	for _, c := range a.LegitimateConfigs() {
-		want[configKey(c)] = true
-	}
-	if len(want) != 3*a.N()*a.K() {
-		t.Fatalf("enumeration has %d configs, want %d", len(want), 3*a.N()*a.K())
-	}
-	count := 0
-	forAllConfigs(a, func(c statemodel.Config[State]) {
-		count++
-		if got, exp := a.Legitimate(c), want[configKey(c)]; got != exp {
-			t.Fatalf("Legitimate(%v) = %v, enumeration says %v", c, got, exp)
+	for _, tc := range []struct{ n, k int }{{3, 4}, {4, 5}} {
+		a := New(tc.n, tc.k)
+		want := make(map[string]bool)
+		for _, c := range a.LegitimateConfigs() {
+			want[configKey(c)] = true
 		}
-	})
-	if exp := 16 * 16 * 16; count != exp { // (4K)^n = 16^3
-		t.Fatalf("visited %d configs, want %d", count, exp)
+		if len(want) != 3*a.N()*a.K() {
+			t.Fatalf("(%d,%d): enumeration has %d configs, want %d", tc.n, tc.k, len(want), 3*a.N()*a.K())
+		}
+		count, legit := 0, 0
+		forAllConfigs(a, func(c statemodel.Config[State]) {
+			count++
+			got, exp := a.Legitimate(c), want[configKey(c)]
+			if got != exp {
+				t.Fatalf("(%d,%d): Legitimate(%v) = %v, enumeration says %v", tc.n, tc.k, c, got, exp)
+			}
+			if got {
+				legit++
+			}
+		})
+		exp := 1
+		for i := 0; i < tc.n; i++ {
+			exp *= 4 * tc.k // (4K)^n
+		}
+		if count != exp || legit != len(want) {
+			t.Fatalf("(%d,%d): visited %d configs (%d legitimate), want %d (%d)", tc.n, tc.k, count, legit, exp, len(want))
+		}
 	}
 }
 

@@ -149,15 +149,31 @@ func (a *Algorithm) SingleToken(c statemodel.Config[State]) bool {
 // the strict sense of Section 2.3: for some x, c = (x, …, x) — token at
 // the bottom — or c = (x+1, …, x+1, x, …, x) with 1 ≤ ℓ ≤ n−1 leading x+1
 // values (mod K) — token at the step.
+//
+// It scans the guards in place, without collecting the holders, and
+// stops at the second one.
 func (a *Algorithm) Legitimate(c statemodel.Config[State]) bool {
-	h := a.TokenHolders(c)
-	if len(h) != 1 {
+	if len(c) == 0 {
 		return false
 	}
-	if h[0] == 0 {
+	h := -1
+	pred := c[len(c)-1].X
+	for i, s := range c {
+		if GuardX(i, s.X, pred) {
+			if h >= 0 {
+				return false
+			}
+			h = i
+		}
+		pred = s.X
+	}
+	switch {
+	case h < 0:
+		return false
+	case h == 0:
 		return true // all values equal
 	}
-	return c[0].X == (c[h[0]].X+1)%a.k
+	return c[0].X == (c[h].X+1)%a.k
 }
 
 // StepDown returns the index of the unique token holder of a legitimate

@@ -1,6 +1,7 @@
 package dijkstra
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -121,6 +122,55 @@ func TestLegitimateForms(t *testing.T) {
 	// (2,0,0,0) has a single token but is not strict-legitimate.
 	if !a.SingleToken(xs(2, 0, 0, 0)) {
 		t.Error("SingleToken((2,0,0,0)) = false, want true")
+	}
+}
+
+// TestLegitimateMatchesStrictForm checks Legitimate on every
+// configuration of small rings against the explicit strict forms of
+// Section 2.3: (x, …, x), and (x+1, …, x+1, x, …, x) with the step at
+// each h in 1..n−1.
+func TestLegitimateMatchesStrictForm(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{3, 4}, {3, 5}, {4, 5}, {4, 6}} {
+		a := New(tc.n, tc.k)
+		want := make(map[string]bool)
+		for x := 0; x < tc.k; x++ {
+			for h := 0; h < tc.n; h++ {
+				c := make(statemodel.Config[State], tc.n)
+				for i := range c {
+					c[i].X = x
+					if i < h {
+						c[i].X = (x + 1) % tc.k
+					}
+				}
+				want[fmt.Sprint(c)] = true
+			}
+		}
+		if len(want) != tc.n*tc.k {
+			t.Fatalf("(%d,%d): %d strict forms, want nK = %d", tc.n, tc.k, len(want), tc.n*tc.k)
+		}
+		c := make(statemodel.Config[State], tc.n)
+		legit := 0
+		var rec func(i int)
+		rec = func(i int) {
+			if i == tc.n {
+				got, exp := a.Legitimate(c), want[fmt.Sprint(c)]
+				if got != exp {
+					t.Fatalf("(%d,%d): Legitimate(%v) = %v, strict form says %v", tc.n, tc.k, c, got, exp)
+				}
+				if got {
+					legit++
+				}
+				return
+			}
+			for x := 0; x < tc.k; x++ {
+				c[i].X = x
+				rec(i + 1)
+			}
+		}
+		rec(0)
+		if legit != len(want) {
+			t.Fatalf("(%d,%d): %d legitimate configurations, want %d", tc.n, tc.k, legit, len(want))
+		}
 	}
 }
 
