@@ -91,7 +91,7 @@ func hashRun(r diffRun) string {
 }
 
 // TestEngineTapGolden holds the sharded engine at one and three workers
-// to the recorded hashes on the 16 diffScenario seeds and the 5
+// to the recorded hashes on the 16 diffScenario seeds and the 7
 // diffRegimes.
 func TestEngineTapGolden(t *testing.T) {
 	type goldenCase struct {
