@@ -174,6 +174,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzJSONLEmit -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzWaiverParse -fuzztime 5s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzBitsliceStep -fuzztime 5s ./internal/bitslice
+	$(GO) test -run '^$$' -fuzz FuzzCalendarOrder -fuzztime 5s ./internal/runtime
 
 clean:
 	$(GO) clean ./...

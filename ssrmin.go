@@ -661,7 +661,9 @@ func (l *LiveRing) Observer() *Observer { return l.obsv }
 
 // OnPrivilege installs an application callback invoked (concurrently,
 // from engine workers) whenever a node's privilege changes. Must be
-// called before Start.
+// called before Start. Calls are time-ordered across the engine's epochs
+// (one link Delay each) and node-ordered within one: each node's calls
+// come in time order, different nodes' calls in one epoch do not.
 func (l *LiveRing) OnPrivilege(cb func(node int, privileged bool)) {
 	l.eng.SetPrivilegeCallback(core.HasToken, cb)
 }
