@@ -436,7 +436,7 @@ func BenchmarkRuntimeEngine(b *testing.B) {
 		Seed:           1,
 		CoherentCaches: true,
 	}
-	for _, n := range []int{10000, 100000} {
+	for _, n := range []int{10000, 100000, 1000000} {
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("engine/n=%d,w=%d", n, w), func(b *testing.B) {
 				opts := ropts
