@@ -175,6 +175,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzWaiverParse -fuzztime 5s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzBitsliceStep -fuzztime 5s ./internal/bitslice
 	$(GO) test -run '^$$' -fuzz FuzzCalendarOrder -fuzztime 5s ./internal/runtime
+	$(GO) test -run '^$$' -fuzz FuzzCoreQuiet -fuzztime 5s ./internal/cst
 
 clean:
 	$(GO) clean ./...

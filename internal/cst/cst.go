@@ -358,7 +358,7 @@ func (r *Ring[S]) Join(after int, state S) int {
 	net.AddLink(j, b, r.link)
 	net.AddLink(b, j, r.link)
 	jn := r.Nodes[j]
-	jn.state = state
+	jn.SetState(state)
 	// The joiner has not heard from either neighbor: seed its caches with
 	// its own state (arbitrary incoherence, healed by the announcements).
 	jn.SetCaches(state, state)

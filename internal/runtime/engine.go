@@ -67,7 +67,8 @@ type engNode[S comparable] struct {
 	// shard-local census accumulators. It is deliberately separate from
 	// wasPriv: wasPriv starts false so the first observer Handover edge
 	// fires correctly, while censusPriv is initialized from the real
-	// initial views at freeze time.
+	// initial views at freeze time. While the core is quiet it is also
+	// the predicate's value on the current view, which step reuses.
 	censusPriv bool
 }
 
@@ -629,18 +630,22 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 	case evInject:
 		nd.SetState(rec.payload)
 		e.tap(sh, nd, rec.at, rec.node, TapInject, -1, 0)
-		e.notifyPriv(sh, rec.at, rec.node)
+		e.notifyPriv(sh, rec.at, rec.node, false)
 		e.announce(sh, rec.at, rec.node)
 	}
 }
 
 // step fires the node's core, re-evaluates the privilege and announces —
-// Algorithm 4's reaction to a delivered frame.
+// Algorithm 4's reaction to a delivered frame. When the core's view was
+// already quiet before the Fire, the view is the one the previous step's
+// notifyPriv evaluated, so the privilege is taken from censusPriv instead
+// of re-running the predicate.
 //
 //shardsafety:worker owns=node
 //allocgate:hot
 func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 	nd := &e.nodes[node]
+	quiet := nd.Quiet()
 	if rule := nd.Fire(e.alg, int(node), e.n); rule != 0 {
 		sh.rules++
 		e.tap(sh, nd, at, node, TapRule, -1, int32(rule))
@@ -648,7 +653,7 @@ func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 			o.RuleFired(at, int(node), rule)
 		}
 	}
-	e.notifyPriv(sh, at, node)
+	e.notifyPriv(sh, at, node, quiet)
 	e.announce(sh, at, node)
 }
 
@@ -757,16 +762,22 @@ func (e *Engine[S]) tap(sh *engShard[S], nd *engNode[S], at float64, src int32, 
 }
 
 // notifyPriv re-evaluates the privilege predicate after a node's view
-// changed and fires the handover callbacks on edges.
+// may have changed and fires the handover callbacks on edges. When quiet
+// is set the view is unchanged since the last notifyPriv (see
+// cst.Core.Quiet), so censusPriv already holds the predicate's value for
+// it; onPriv is still called, so the callback sequence is the same.
 //
 //shardsafety:worker owns=node
 //allocgate:hot
-func (e *Engine[S]) notifyPriv(sh *engShard[S], at float64, node int32) {
+func (e *Engine[S]) notifyPriv(sh *engShard[S], at float64, node int32, quiet bool) {
 	if e.holder == nil {
 		return
 	}
 	nd := &e.nodes[node]
-	holds := e.holder(nd.View(int(node), e.n))
+	holds := nd.censusPriv
+	if !quiet {
+		holds = e.holder(nd.View(int(node), e.n))
+	}
 	if e.onPriv != nil {
 		e.onPriv(int(node), holds)
 	}
@@ -908,7 +919,8 @@ func (e *Engine[S]) Snapshots() []Snapshot[S] {
 	return out
 }
 
-// Census counts the nodes whose view satisfies holder.
+// Census counts the nodes whose view satisfies holder. The scan runs per
+// shard, as Holders's does, so holder may be called concurrently.
 func (e *Engine[S]) Census(holder func(statemodel.View[S]) bool) int {
 	count := 0
 	e.do(func() { count = len(e.holdersNow(holder, nil)) })
@@ -935,15 +947,53 @@ func (e *Engine[S]) TrackedCensus() (int, bool) {
 	return count, true
 }
 
-// Holders returns the ids of nodes whose view satisfies holder.
+// Holders returns the ids of nodes whose view satisfies holder, in
+// ascending order. Each shard's arc is scanned on its own goroutine once
+// the arcs reach holderArcMin nodes, so holder may be called
+// concurrently and must be safe for that — as the installed privilege
+// predicate already is, which the worker loops call.
 func (e *Engine[S]) Holders(holder func(statemodel.View[S]) bool) []int {
 	var out []int
 	e.do(func() { out = e.holdersNow(holder, out) })
 	return out
 }
 
+// holderArcMin is the shard arc size from which holdersNow scans the arcs
+// in parallel. Below it one goroutine's start-up would cost more than its
+// share of the scan, so small engines scan on the caller.
+const holderArcMin = 4096
+
+// holdersNow appends the holders to out. It runs between epochs (after
+// RunUntil returned, or on the pacer via do), when no shard is
+// dispatching, so the scan goroutines read the nodes without racing a
+// worker. Arcs are contiguous and ascending, so concatenating their
+// results in shard order keeps the ids ascending.
 func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool, out []int) []int {
-	for i := range e.nodes {
+	if len(e.shards) < 2 || int(e.shards[0].hi-e.shards[0].lo) < holderArcMin {
+		// Unfrozen engines have no shards yet; scan every node.
+		return e.holdersIn(holder, 0, len(e.nodes), out)
+	}
+	parts := make([][]int, len(e.shards))
+	var wg sync.WaitGroup
+	for i := 1; i < len(e.shards); i++ {
+		wg.Add(1)
+		go func(sh *engShard[S], part *[]int) {
+			defer wg.Done()
+			*part = e.holdersIn(holder, int(sh.lo), int(sh.hi), nil)
+		}(&e.shards[i], &parts[i])
+	}
+	out = e.holdersIn(holder, int(e.shards[0].lo), int(e.shards[0].hi), out)
+	wg.Wait()
+	for _, p := range parts[1:] {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// holdersIn appends the attached nodes of [lo, hi) whose view satisfies
+// holder to out.
+func (e *Engine[S]) holdersIn(holder func(statemodel.View[S]) bool, lo, hi int, out []int) []int {
+	for i := lo; i < hi; i++ {
 		if nd := &e.nodes[i]; !nd.Detached() && holder(nd.View(i, e.n)) {
 			out = append(out, i)
 		}
@@ -1025,7 +1075,8 @@ func (e *Engine[S]) Taps() []TapEvent {
 
 // WatchCensus samples the holder census every interval for the given
 // wall-clock duration — meaningful in paced mode, where virtual time
-// tracks the wall clock. It runs in the caller's goroutine.
+// tracks the wall clock. It runs in the caller's goroutine; each sample
+// is a Holders scan, so holder may be called concurrently.
 func (e *Engine[S]) WatchCensus(holder func(statemodel.View[S]) bool, d, interval time.Duration) CensusStats {
 	stats := CensusStats{Min: 1 << 30, Max: -1, At: map[int]int{}}
 	seen := map[int]bool{}
